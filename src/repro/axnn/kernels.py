@@ -23,9 +23,12 @@ float64 BLAS instead:
     When the LUT admits an exact integer rank factorisation
     ``LUT = sum_i outer(f_i, g_i)`` (true for the exact, operand-truncation,
     partial-product-truncation, DRUM and mirror-adder array multipliers),
-    the one-hot sum collapses through the LUT's row space into ``r`` fused
-    BLAS products ``sum_i f_i[A] @ (sign * g_i[mag])`` — a single ``dgemm``
-    for the rank-1 truncation/DRUM families.
+    the one-hot sum collapses through the LUT's row space into one gather
+    and one ``dgemm`` for every rank: the code factors form a ``(2**bits,
+    r)`` table ``F[c, i] = f_i[c]``, so ``take(F, A, axis=0)`` reshaped to
+    ``(M, K*r)`` multiplies the interleaved weight factors ``W[k*r + i, n]
+    = sign[k, n] * g_i[mag[k, n]]`` built once per layer (the rows of ``A``
+    are taken in cache-sized blocks).
 
 ``errorcorrection``
     ``exact_matmul(A, W)`` via one BLAS product plus a correction drawn from
@@ -131,6 +134,12 @@ _AUTO_ACTIVE_CODE_LIMIT = 32
 
 #: byte budget for per-kernel memoised per-code row tables
 _ROW_TABLE_CACHE_BYTES = 64 * 1024 * 1024
+
+#: byte budget for one row block of the gathered (M, K*r) low-rank operand:
+#: a block that stays in cache between its gather and its GEMM took about
+#: half the time of a whole-batch gather on the conv layers' tall patch
+#: matrices (AlexNet shapes, 2-core x86-64, OpenBLAS)
+_LOW_RANK_BLOCK_BYTES = 4 * 1024 * 1024
 
 #: byte budget for the sparse kernel's stacked (2**bits * K, N) weight table;
 #: larger shapes fall back to chunking over the codes present in the batch
@@ -329,7 +338,12 @@ class MatmulKernel:
 
     # ------------------------------------------------------------------ API
     def matmul(self, activation_codes: np.ndarray) -> np.ndarray:
-        """Integer accumulator ``(M, K) @ (K, N) -> (M, N)`` (int64)."""
+        """Integer accumulator ``(M, K) @ (K, N) -> (M, N)`` (int64).
+
+        Every strategy returns a fresh, writable int64 array that shares no
+        memory with the codes, the bound weights or an earlier result, so
+        callers may finish the layer epilogue in place on it.
+        """
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -394,12 +408,20 @@ class ExactBLASKernel(MatmulKernel):
 class _TableOperand:
     """Weight-bound evaluation of one source table (product LUT or error LUT).
 
-    Shared machinery of the per-code and error-correction kernels: when the
-    table has an exact integer rank factorisation (within the float64
-    exactness bound), the per-code one-hot sum collapses into ``r`` fused
-    BLAS products ``sum_i f_i[A] @ (sign * g_i[mag])``; otherwise per-code
-    row tables ``T_c = sign * table[c, mag]`` are built lazily, memoised
-    under a byte budget, and applied as one one-hot matmul per code present.
+    Shared machinery of the per-code and error-correction kernels.  When the
+    table has an exact integer rank factorisation ``sum_i outer(f_i, g_i)``
+    within the float64 exactness bound, the per-code one-hot sum is one
+    gather plus one GEMM for every rank: the code factors are kept as one
+    row-major ``(2**bits, r)`` table, the weight factors interleaved as
+    ``(K*r, N)`` with row ``k*r + i`` equal to ``sign[k] * g_i[mag[k]]``, so
+    ``take(table, A, axis=0).reshape(M, K*r) @ weight_factors`` is the whole
+    product, taken in row blocks of at most :data:`_LOW_RANK_BLOCK_BYTES`
+    gathered bytes so each block is still in cache for its GEMM.  Every
+    partial sum is an integer below ``2**52`` (checked by
+    :func:`_factor_sum_bound`), so neither the BLAS summation order nor the
+    blocking can change the result.  Otherwise per-code row tables
+    ``T_c = sign * table[c, mag]`` are built lazily, memoised under a byte
+    budget, and applied as one one-hot matmul per code present.
     """
 
     def __init__(
@@ -420,18 +442,15 @@ class _TableOperand:
         ):
             fs, gs = factors
             self.rank = len(fs)
-            #: (r, 2**bits) gather tables applied to the activation codes
-            self._code_factors = fs.astype(np.float64)
-            #: (r*K, N) stacked weight-side factors sign * g_i[mag]
-            sign_f = weight_sign.astype(np.float64)
-            self._weight_factors = (
-                np.concatenate(
-                    [sign_f * g.astype(np.float64)[weight_magnitude] for g in gs],
-                    axis=0,
-                )
-                if self.rank
-                else np.zeros((0, outputs))
-            )
+            #: (2**bits, r) row-major table of code factors, F[c, i] = f_i[c]
+            self._code_factors = np.ascontiguousarray(fs.T, dtype=np.float64)
+            #: (K*r, N) interleaved weight factors,
+            #: row k*r + i = sign[k] * g_i[mag[k]]
+            weight_factors = gs.astype(np.float64)[:, weight_magnitude]
+            weight_factors *= weight_sign.astype(np.float64)[None, :, :]
+            self._weight_factors = np.ascontiguousarray(
+                weight_factors.transpose(1, 0, 2)
+            ).reshape(inner * self.rank, outputs)
         else:
             self._table_rows = table.astype(np.float64)
             self._sign_f = weight_sign.astype(np.float64)
@@ -451,13 +470,13 @@ class _TableOperand:
         """Add the fused low-rank contribution for ``codes`` in place."""
         if self.rank == 0:
             return accumulator
-        if self.rank == 1:
-            gathered = self._code_factors[0][codes]
-        else:
-            gathered = np.ascontiguousarray(
-                np.moveaxis(self._code_factors[:, codes], 0, 1)
-            ).reshape(codes.shape[0], self.rank * self.inner)
-        accumulator += gathered @ self._weight_factors
+        width = self.inner * self.rank
+        block = max(1, _LOW_RANK_BLOCK_BYTES // max(1, 8 * width))
+        for start in range(0, codes.shape[0], block):
+            rows = codes[start : start + block]
+            gathered = np.take(self._code_factors, rows, axis=0)
+            gathered = gathered.reshape(rows.shape[0], width)
+            accumulator[start : start + block] += gathered @ self._weight_factors
         return accumulator
 
     def _row_table(self, code: int) -> np.ndarray:

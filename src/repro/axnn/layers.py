@@ -22,7 +22,7 @@ from repro.axnn.approx_ops import (
 from repro.axnn.kernels import KernelSpec, make_kernel
 from repro.errors import ShapeError
 from repro.multipliers.base import Multiplier
-from repro.nn.functional import im2col
+from repro.nn.functional import im2col_strided
 from repro.nn.layers.base import Layer
 from repro.nn.layers.conv import Conv2D
 from repro.nn.layers.dense import Dense
@@ -45,6 +45,25 @@ class AxLayer:
         return f"{type(self).__name__}(name={self.name!r})"
 
 
+class _KernelLayer(AxLayer):
+    """Shared epilogue of the compute layers (:class:`AxDense`,
+    :class:`AxConv2D`)."""
+
+    def _dequantize_accumulator(self, codes: np.ndarray) -> np.ndarray:
+        """Float pre-bias output ``(M, N)`` for activation codes ``(M, K)``.
+
+        The kernel hands back a fresh int64 accumulator (see
+        :meth:`repro.axnn.kernels.MatmulKernel.matmul`), so the zero-point
+        correction is subtracted in place; the scale multiply allocates the
+        float64 result the caller then finishes in place.
+        """
+        accumulator = self.kernel.matmul(codes)
+        zero_point = self.activation_scheme.zero_point
+        if zero_point:
+            accumulator -= zero_point * self._zero_point_correction
+        return accumulator * (self.activation_scheme.scale * self.weight_scale)
+
+
 class PassthroughLayer(AxLayer):
     """Wraps a float layer, evaluated in inference mode."""
 
@@ -56,7 +75,7 @@ class PassthroughLayer(AxLayer):
         return self.layer.forward(x, training=False)
 
 
-class AxDense(AxLayer):
+class AxDense(_KernelLayer):
     """Quantized dense layer evaluated through an approximate multiplier."""
 
     def __init__(
@@ -101,22 +120,16 @@ class AxDense(AxLayer):
         the split lets :class:`repro.axnn.panel.VictimPanel` quantize once
         and feed every victim's LUT product from the shared codes.
         """
-        accumulator = self.kernel.matmul(codes)
-        zero_point = self.activation_scheme.zero_point
-        if zero_point:
-            accumulator = accumulator - zero_point * self._zero_point_correction[None, :]
-        y = accumulator.astype(np.float64) * (
-            self.activation_scheme.scale * self.weight_scale
-        )
+        y = self._dequantize_accumulator(codes)
         if self.bias is not None:
-            y = y + self.bias
+            y += self.bias
         return y
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self.forward_from_codes(self.quantize_input(x))
 
 
-class AxConv2D(AxLayer):
+class AxConv2D(_KernelLayer):
     """Quantized 2-D convolution evaluated through an approximate multiplier."""
 
     def __init__(
@@ -157,7 +170,7 @@ class AxConv2D(AxLayer):
         and :attr:`geometry`, hence shareable across panel victims."""
         if x.ndim != 4:
             raise ShapeError(f"{self.name}: expected NHWC input, got {x.shape}")
-        return im2col(
+        return im2col_strided(
             x, self.kernel_size, self.kernel_size, self.stride, self.pad_amount
         )
 
@@ -176,16 +189,10 @@ class AxConv2D(AxLayer):
         ``quantize_cols(extract_cols(x))``; the decomposition is what the
         fused multi-victim panel exploits.
         """
-        accumulator = self.kernel.matmul(codes)
-        zero_point = self.activation_scheme.zero_point
-        if zero_point:
-            accumulator = accumulator - zero_point * self._zero_point_correction[None, :]
-        y = accumulator.astype(np.float64) * (
-            self.activation_scheme.scale * self.weight_scale
-        )
+        y = self._dequantize_accumulator(codes)
         y = y.reshape(batch, out_h, out_w, self.filters)
         if self.bias is not None:
-            y = y + self.bias
+            y += self.bias
         return y
 
     def forward(self, x: np.ndarray) -> np.ndarray:

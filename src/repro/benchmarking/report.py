@@ -9,8 +9,9 @@ gate needs to decide whether two runs are comparable:
 
 * the producing **commit** and a **timestamp**;
 * an **environment fingerprint** — python/numpy versions, platform,
-  *core count* and hostname — because wall-clock metrics recorded on a
-  1-core container are not comparable to a 4-core CI runner;
+  *core count*, hostname, kernel backend and BLAS — because wall-clock
+  metrics recorded on a 1-core container are not comparable to a 4-core
+  CI runner;
 * per-metric **value + unit + direction** (``higher_is_better``) plus the
   ``min_cores`` gate of the repo's "assert speedup only on >= 4 cores"
   convention.
@@ -21,6 +22,7 @@ written by a *newer* schema raises instead of silently misreading it.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import platform
@@ -28,6 +30,7 @@ import socket
 import subprocess
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
@@ -65,6 +68,61 @@ def current_commit() -> str:
     return proc.stdout.strip() or "unknown"
 
 
+#: thread-count getters exported by the OpenBLAS builds numpy wheels bundle
+_OPENBLAS_THREAD_SYMBOLS = (
+    "scipy_openblas_get_num_threads64_",
+    "openblas_get_num_threads64_",
+    "openblas_get_num_threads",
+)
+
+
+def _openblas_libraries() -> List[Path]:
+    """OpenBLAS shared objects bundled with the numpy wheel, if any."""
+    import numpy as np
+
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    return sorted(libs.glob("*openblas*")) if libs.is_dir() else []
+
+
+def _blas_threads():
+    """The live OpenBLAS thread count, or ``"unknown"`` without OpenBLAS.
+
+    Opening a library numpy already loaded returns the loaded instance, so
+    the count reflects ``OPENBLAS_NUM_THREADS`` and any runtime change.
+    """
+    for path in _openblas_libraries():
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for symbol in _OPENBLAS_THREAD_SYMBOLS:
+            getter = getattr(lib, symbol, None)
+            if getter is not None:
+                getter.argtypes = []
+                getter.restype = ctypes.c_int
+                return int(getter())
+    return "unknown"
+
+
+def blas_fingerprint() -> dict:
+    """Name, version and live thread count of the BLAS numpy uses.
+
+    Every field a host cannot report (no build metadata, a BLAS other than
+    OpenBLAS) reads ``"unknown"``; this never raises.
+    """
+    import numpy as np
+
+    try:
+        config = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (AttributeError, KeyError, TypeError):
+        config = {}
+    return {
+        "blas": str(config.get("name") or "unknown"),
+        "blas_version": str(config.get("version") or "unknown"),
+        "blas_threads": _blas_threads(),
+    }
+
+
 def env_fingerprint(extra: Optional[dict] = None) -> dict:
     """The measuring machine's fingerprint recorded with every report.
 
@@ -73,8 +131,11 @@ def env_fingerprint(extra: Optional[dict] = None) -> dict:
     ``min_cores`` convention with it.  The kernel-backend fields
     (``kernel_backend`` / ``kernel_backend_env`` / ``numba``) record which
     compiled tier produced the numbers, so baseline comparisons never
-    silently mix a Numba run against a pure-NumPy one.  ``extra`` merges in
-    run-specific knobs (e.g. the ``REPRO_BENCH_*`` scale settings).
+    silently mix a Numba run against a pure-NumPy one.  The BLAS fields
+    (``blas`` / ``blas_version`` / ``blas_threads``, see
+    :func:`blas_fingerprint`) do the same for the float64 GEMMs the LUT
+    kernels run on.  ``extra`` merges in run-specific knobs (e.g. the
+    ``REPRO_BENCH_*`` scale settings).
     """
     import numpy as np
 
@@ -89,6 +150,7 @@ def env_fingerprint(extra: Optional[dict] = None) -> dict:
         "hostname": socket.gethostname(),
     }
     fingerprint.update(native_fingerprint())
+    fingerprint.update(blas_fingerprint())
     if extra:
         fingerprint.update(extra)
     return fingerprint

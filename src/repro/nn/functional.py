@@ -89,18 +89,18 @@ def im2col_strided(
     kernel_w: int,
     stride: int,
     padding: int,
-    out: np.ndarray,
+    out: Optional[np.ndarray] = None,
     padded: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Fused single-copy :func:`im2col` (bit-identical, arena path).
+    """Fused single-copy :func:`im2col` (bit-identical).
 
     Instead of ``kernel_h * kernel_w`` strided slice copies, the patch
     matrix is materialised in one multi-dimensional strided copy from a
     sliding-window view — a pure reordering of the same elements, so the
-    result is bit-identical to the loop.  ``out`` is mandatory (the caller
-    owns the buffer); ``padded``, when given, receives the zero-padded
-    input (its border bands are re-zeroed here, replacing the ``np.pad``
-    allocation and full copy).
+    result is bit-identical to the loop.  ``out``, when given, receives the
+    patches (the training arena passes a workspace buffer); ``padded``,
+    when given, receives the zero-padded input (its border bands are
+    re-zeroed here, replacing the ``np.pad`` allocation and full copy).
     """
     if x.ndim != 4:
         raise ShapeError(f"im2col expects an NHWC tensor, got shape {x.shape}")
@@ -108,7 +108,10 @@ def im2col_strided(
     out_h = conv_output_size(height, kernel_h, stride, padding)
     out_w = conv_output_size(width, kernel_w, stride, padding)
     shape = (batch, out_h, out_w, kernel_h * kernel_w * channels)
-    cols = _checked_out(out, shape, x.dtype)
+    if out is None:
+        cols = np.empty(shape, dtype=x.dtype)
+    else:
+        cols = _checked_out(out, shape, x.dtype)
     if padding == 0 or padded is None:
         x_padded = pad_nhwc(x, padding)
     else:

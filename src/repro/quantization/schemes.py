@@ -18,6 +18,17 @@ import numpy as np
 from repro.errors import CalibrationError, ConfigurationError
 
 
+def _scaled(x: np.ndarray, scale: float) -> np.ndarray:
+    """``x / scale`` as a fresh writable float64 array (0-d for scalars)."""
+    return np.asarray(np.asarray(x, dtype=np.float64) / scale)
+
+
+def _codes(q: np.ndarray) -> np.ndarray:
+    """Rounded, clipped values as int64 codes; 0-d input gives a scalar."""
+    codes = q.astype(np.int64)
+    return codes if codes.ndim else codes[()]
+
+
 @dataclass(frozen=True)
 class AffineQuantization:
     """Per-tensor affine (asymmetric, unsigned) quantization."""
@@ -42,9 +53,17 @@ class AffineQuantization:
         return (1 << self.bits) - 1
 
     def quantize(self, x: np.ndarray) -> np.ndarray:
-        """Quantize a float array to integer codes (int64)."""
-        q = np.round(np.asarray(x, dtype=np.float64) / self.scale) + self.zero_point
-        return np.clip(q, 0, self.qmax).astype(np.int64)
+        """Quantize a float array to integer codes (int64).
+
+        One division allocates the working array; rounding (half to even,
+        as ``np.round``), the zero-point shift and the clip then run in
+        place on it.
+        """
+        q = _scaled(x, self.scale)
+        np.rint(q, out=q)
+        q += self.zero_point
+        np.clip(q, 0, self.qmax, out=q)
+        return _codes(q)
 
     def dequantize(self, q: np.ndarray) -> np.ndarray:
         """Map integer codes back to floats."""
@@ -74,9 +93,14 @@ class SymmetricQuantization:
         return (1 << (self.bits - 1)) - 1
 
     def quantize(self, x: np.ndarray) -> np.ndarray:
-        """Quantize a float array to signed integer codes (int64)."""
-        q = np.round(np.asarray(x, dtype=np.float64) / self.scale)
-        return np.clip(q, -self.qmax, self.qmax).astype(np.int64)
+        """Quantize a float array to signed integer codes (int64).
+
+        Same in-place rounding and clip as :meth:`AffineQuantization.quantize`.
+        """
+        q = _scaled(x, self.scale)
+        np.rint(q, out=q)
+        np.clip(q, -self.qmax, self.qmax, out=q)
+        return _codes(q)
 
     def dequantize(self, q: np.ndarray) -> np.ndarray:
         """Map signed integer codes back to floats."""

@@ -226,6 +226,119 @@ def test_sparse_bit_identity_property_registry(data, m, k, n, label):
     assert np.array_equal(kernel.matmul(codes), reference)
 
 
+#: every registry label whose product LUT has an exact integer rank
+#: factorisation (ranks 1-8); the rest (M6, M9, A4, A8) are full rank
+LOW_RANK_LABELS = [
+    "M1", "M2", "M3", "M4", "M5", "M7", "M8",
+    "A1", "A2", "A3", "A5", "A6", "A7",
+]
+
+
+class TestInterleavedLowRankLayout:
+    """The one-gather low-rank product (interleaved ``(K*r, N)`` weight
+    factors) against the gather reference, bit for bit."""
+
+    def test_low_rank_labels_are_exactly_the_factorisable_registry(self):
+        labels = [f"M{i}" for i in range(1, 10)] + [f"A{i}" for i in range(1, 9)]
+        factorisable = [
+            label
+            for label in labels
+            if multiplier_kernel_profile(get_multiplier(label)).lut_rank is not None
+        ]
+        assert factorisable == LOW_RANK_LABELS
+        ranks = {
+            multiplier_kernel_profile(get_multiplier(label)).lut_rank
+            for label in LOW_RANK_LABELS
+        }
+        assert min(ranks) == 1 and max(ranks) == 8
+
+    @pytest.mark.parametrize("label", LOW_RANK_LABELS)
+    @pytest.mark.parametrize("strategy", ["percode", "errorcorrection"])
+    def test_registry_low_rank_matches_gather(self, label, strategy):
+        multiplier = get_multiplier(label)
+        codes, sign, mag = random_problem(np.random.default_rng(31), m=13, k=40, n=9)
+        kernel = make_kernel(multiplier, sign, mag, strategy)
+        assert "low-rank" in kernel.describe()
+        reference = GatherKernel(multiplier, sign, mag).matmul(codes)
+        assert np.array_equal(kernel.matmul(codes), reference)
+
+    @pytest.mark.parametrize("strategy", ["percode", "errorcorrection"])
+    @pytest.mark.parametrize("m, k, n", [(0, 6, 4), (5, 1, 4), (5, 6, 1), (0, 1, 1)])
+    def test_edge_shapes(self, strategy, m, k, n):
+        multiplier = get_multiplier("M5")  # rank 8 LUT, rank 7 error table
+        codes, sign, mag = random_problem(np.random.default_rng(37), m=m, k=k, n=n)
+        kernel = make_kernel(multiplier, sign, mag, strategy)
+        assert "low-rank" in kernel.describe()
+        result = kernel.matmul(codes)
+        assert result.shape == (m, n) and result.dtype == np.int64
+        reference = GatherKernel(multiplier, sign, mag).matmul(codes)
+        assert np.array_equal(result, reference)
+
+    @pytest.mark.parametrize("strategy", ["percode", "errorcorrection"])
+    def test_row_blocks_with_a_short_tail(self, strategy, monkeypatch):
+        """Batches taller than one gather block are taken block by block."""
+        import repro.axnn.kernels as kernels_module
+
+        multiplier = get_multiplier("A3")  # rank 6 LUT, rank 5 error table
+        codes, sign, mag = random_problem(np.random.default_rng(47), m=23, k=10, n=5)
+        # 8 bytes x K x r per gathered row: 5-row blocks at r=6, 6-row at
+        # r=5; either way 23 rows end in a short block
+        monkeypatch.setattr(kernels_module, "_LOW_RANK_BLOCK_BYTES", 8 * 10 * 6 * 5)
+        kernel = make_kernel(multiplier, sign, mag, strategy)
+        reference = GatherKernel(multiplier, sign, mag).matmul(codes)
+        assert np.array_equal(kernel.matmul(codes), reference)
+
+    @pytest.mark.parametrize("strategy", ["percode", "errorcorrection"])
+    @pytest.mark.parametrize("label", ["M4", "M8"])
+    def test_non_contiguous_codes(self, strategy, label):
+        multiplier = get_multiplier(label)
+        rng = np.random.default_rng(41)
+        wide, sign, mag = random_problem(rng, m=22, k=34, n=6)
+        codes = wide[::2, ::2]
+        sign, mag = sign[::2], mag[::2]
+        assert not codes.flags.c_contiguous
+        kernel = make_kernel(multiplier, sign, mag, strategy)
+        reference = GatherKernel(multiplier, sign, mag).matmul(
+            np.ascontiguousarray(codes)
+        )
+        assert np.array_equal(kernel.matmul(codes), reference)
+
+
+def _fresh_result_cases():
+    """(strategy, label) pairs covering all six strategies; ``exact`` needs
+    the bit-exact M1, the others also run on a low-rank and a full-rank LUT."""
+    cases = [("exact", "M1")]
+    for strategy in ("gather", "percode", "errorcorrection", "sparse", "native"):
+        cases += [(strategy, label) for label in ("M1", "M3", "M6")]
+    return cases
+
+
+class TestKernelResultsAreFresh:
+    """``MatmulKernel.matmul`` returns a fresh writable int64 array, which
+    the Ax-layers' in-place epilogue relies on."""
+
+    @pytest.mark.parametrize("strategy, label", _fresh_result_cases())
+    def test_mutating_a_result_leaves_the_next_unchanged(self, strategy, label):
+        if strategy == "native":
+            from repro.axnn.native import get_backend
+
+            if get_backend() is None:
+                pytest.skip("no native backend on this host")
+        multiplier = get_multiplier(label)
+        codes, sign, mag = random_problem(np.random.default_rng(43), m=11, k=14, n=6)
+        kernel = make_kernel(multiplier, sign, mag, strategy)
+        first = kernel.matmul(codes)
+        assert first.dtype == np.int64 and first.flags.writeable
+        for operand in (codes, sign, mag):
+            assert not np.shares_memory(first, operand)
+        expected = first.copy()
+        first += 12345
+        first[0, 0] = -1
+        second = kernel.matmul(codes)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(second, expected)
+
+
 class TestIntegerLowRankFactors:
     def test_zero_table_has_rank_zero(self):
         factors = integer_low_rank_factors(np.zeros((8, 8), dtype=np.int64))

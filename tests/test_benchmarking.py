@@ -628,3 +628,40 @@ class TestEnvKnobHelpers:
         assert env_str("REPRO_TEST_KNOB", "auto") == "thread"
         with pytest.raises(ConfigurationError, match="REPRO_TEST_KNOB"):
             env_str("REPRO_TEST_KNOB", "auto", choices=("auto", "process"))
+
+
+class TestBlasFingerprint:
+    def test_env_fingerprint_records_blas(self):
+        from repro.benchmarking.report import env_fingerprint
+
+        fingerprint = env_fingerprint()
+        assert isinstance(fingerprint["blas"], str) and fingerprint["blas"]
+        assert isinstance(fingerprint["blas_version"], str)
+        threads = fingerprint["blas_threads"]
+        assert threads == "unknown" or (isinstance(threads, int) and threads >= 1)
+        json.dumps(fingerprint)  # stays serialisable into a report
+
+    def test_host_without_openblas_reports_unknown(self, monkeypatch):
+        import numpy as np
+
+        from repro.benchmarking import report
+
+        def no_build_metadata(*args, **kwargs):
+            raise TypeError("show_config() got an unexpected keyword 'mode'")
+
+        monkeypatch.setattr(report, "_openblas_libraries", lambda: [])
+        monkeypatch.setattr(np, "show_config", no_build_metadata)
+        assert report.blas_fingerprint() == {
+            "blas": "unknown",
+            "blas_version": "unknown",
+            "blas_threads": "unknown",
+        }
+        assert report.env_fingerprint()["blas_threads"] == "unknown"
+
+    def test_unloadable_library_is_skipped(self, monkeypatch, tmp_path):
+        from repro.benchmarking import report
+
+        bogus = tmp_path / "libopenblas-broken.so"
+        bogus.write_bytes(b"not a shared object")
+        monkeypatch.setattr(report, "_openblas_libraries", lambda: [bogus])
+        assert report.blas_fingerprint()["blas_threads"] == "unknown"

@@ -65,6 +65,85 @@ class TestSymmetricQuantization:
             SymmetricQuantization(scale=1.0, bits=1)
 
 
+def _old_affine_quantize(scheme, x):
+    """The allocate-per-step formula ``quantize`` replaced; the reference."""
+    q = np.round(np.asarray(x, dtype=np.float64) / scheme.scale) + scheme.zero_point
+    return np.clip(q, 0, scheme.qmax).astype(np.int64)
+
+
+def _old_symmetric_quantize(scheme, x):
+    q = np.round(np.asarray(x, dtype=np.float64) / scheme.scale)
+    return np.clip(q, -scheme.qmax, scheme.qmax).astype(np.int64)
+
+
+#: power-of-two scales keep ``x / scale`` exact, so the tie inputs really
+#: land on ``k + 0.5``
+SCHEMES = [
+    (AffineQuantization(scale=0.125, zero_point=3), _old_affine_quantize),
+    (AffineQuantization(scale=1.0, zero_point=7, bits=4), _old_affine_quantize),
+    (SymmetricQuantization(scale=0.0625), _old_symmetric_quantize),
+    (SymmetricQuantization(scale=1.0, bits=4), _old_symmetric_quantize),
+]
+
+
+def test_scalar_quantize_returns_numpy_int64():
+    assert AffineQuantization(0.1, 3).quantize(0.5) == np.int64(8)
+    assert isinstance(AffineQuantization(0.1, 3).quantize(0.5), np.int64)
+    assert isinstance(SymmetricQuantization(0.1).quantize(-0.5), np.int64)
+
+
+@pytest.mark.parametrize(
+    "scheme, reference", SCHEMES, ids=lambda v: getattr(v, "__name__", repr(v))
+)
+class TestQuantizeMatchesReferenceFormula:
+    """The in-place ``quantize`` (divide once, then ``rint``/shift/``clip``
+    in place) returns what the old formula returned, dtype and type too."""
+
+    def _check(self, scheme, reference, x):
+        got = scheme.quantize(x)
+        expected = reference(scheme, x)
+        assert type(got) is type(expected)
+        assert got.dtype == np.int64
+        assert np.shape(got) == np.shape(expected)
+        assert np.array_equal(got, expected)
+        return got
+
+    def test_python_scalar(self, scheme, reference):
+        for value in (0.5, -0.35, 0.0, 3, 1e9):
+            got = self._check(scheme, reference, value)
+            assert isinstance(got, np.int64)
+
+    def test_zero_dim_array(self, scheme, reference):
+        got = self._check(scheme, reference, np.asarray(0.25))
+        assert isinstance(got, np.int64)
+
+    def test_empty_input(self, scheme, reference):
+        for x in (np.array([]), np.zeros((0, 5)), []):
+            self._check(scheme, reference, x)
+
+    def test_half_way_ties_round_to_even(self, scheme, reference):
+        ties = np.arange(-6, 7) + 0.5
+        halves = ties * scheme.scale
+        assert np.array_equal(halves / scheme.scale, ties)
+        got = self._check(scheme, reference, halves)
+        even = np.array([-6, -4, -4, -2, -2, 0, 0, 2, 2, 4, 4, 6, 6])  # half to even
+        shift = getattr(scheme, "zero_point", 0)
+        lower = 0 if hasattr(scheme, "zero_point") else -scheme.qmax
+        assert np.array_equal(got, np.clip(even + shift, lower, scheme.qmax))
+
+    def test_values_outside_code_range(self, scheme, reference):
+        x = np.array([-1e6, -50.0, -1.0, 0.0, 1.0, 50.0, 1e6, np.inf, -np.inf])
+        got = self._check(scheme, reference, x.reshape(3, 3))
+        assert got.min() >= (0 if hasattr(scheme, "zero_point") else -scheme.qmax)
+        assert got.max() <= scheme.qmax
+
+    def test_input_is_not_modified(self, scheme, reference):
+        x = np.linspace(-2.0, 30.0, 24).reshape(4, 6)
+        before = x.copy()
+        self._check(scheme, reference, x)
+        assert np.array_equal(x, before)
+
+
 class TestCalibration:
     def test_affine_covers_range(self):
         rng = np.random.default_rng(0)

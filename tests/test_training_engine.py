@@ -134,6 +134,8 @@ class TestCol2imAdjoint:
         fast = im2col_strided(x, kh, kw, stride, padding, out=out, padded=padded)
         assert fast is out
         assert np.array_equal(reference, fast)
+        # without buffers (the Ax-layer path) it allocates its own output
+        assert np.array_equal(reference, im2col_strided(x, kh, kw, stride, padding))
 
     def test_out_shape_validated(self):
         x = np.zeros((1, 4, 4, 1))
