@@ -6,11 +6,7 @@ sweep now that PRs 1-2 made victim inference fast:
 
 * **sweep amortization** — one ``generate_sweep`` pass over the paper's ten
   budgets vs the per-epsilon ``generate`` loop it replaces (the FGM family
-  pays exactly one gradient for the whole sweep);
-* **process sharding** — serial vs process-sharded crafting of an iterative
-  gradient attack.  On a single-core host the sharded run shows parity (the
-  speedup assertion activates on >= 4-core hosts, as in the PR 2 inference
-  benchmarks).
+  pays exactly one gradient for the whole sweep).
 
 Every measurement is recorded into the ``attack_generation`` suite report
 for the regression gate.
@@ -21,14 +17,13 @@ import pytest
 
 from repro.attacks import PAPER_EPSILONS, AttackEngine, get_attack
 from repro.benchmarking import best_of
-from repro.nn.runtime import available_workers
 
 
 @pytest.mark.benchmark(group="attack-gen")
 @pytest.mark.parametrize("attack_key", ["FGM_linf", "BIM_linf", "PGD_linf", "RAU_linf"])
 def test_attack_sweep_amortized(benchmark, suite, lenet_bundle, attack_key):
     """One amortised sweep over the paper's ten budgets (the engine path)."""
-    engine = AttackEngine(lenet_bundle["model"], workers=1)
+    engine = AttackEngine(lenet_bundle["model"])
     x, y = lenet_bundle["x"], lenet_bundle["y"]
     sweep = benchmark.pedantic(
         lambda: suite.timed(
@@ -51,7 +46,7 @@ def test_attack_sweep_amortization_vs_per_epsilon(benchmark, suite, lenet_bundle
     lands in the suite report.
     """
     model, x, y = lenet_bundle["model"], lenet_bundle["x"], lenet_bundle["y"]
-    engine = AttackEngine(model, workers=1)
+    engine = AttackEngine(model)
     attack = get_attack("FGM_linf")
 
     def per_epsilon_loop():
@@ -79,42 +74,3 @@ def test_attack_sweep_amortization_vs_per_epsilon(benchmark, suite, lenet_bundle
         f"amortised FGM sweep only {loop_s / sweep_s:.2f}x faster than the "
         f"per-epsilon loop"
     )
-
-
-@pytest.mark.benchmark(group="attack-gen")
-def test_attack_process_sharding(benchmark, suite, lenet_bundle):
-    """Serial vs process-sharded crafting of BIM (bit-identical by contract)."""
-    model, x, y = lenet_bundle["model"], lenet_bundle["x"], lenet_bundle["y"]
-    attack = get_attack("BIM_linf")
-    cores = available_workers()
-    serial_engine = AttackEngine(model, workers=1, shard_size=16)
-    sharded_engine = AttackEngine(
-        model, workers="auto", backend="process", shard_size=16
-    )
-
-    serial_s = best_of(lambda: serial_engine.generate(attack, x, y, 0.2), repeats=2)
-    sharded_s = best_of(lambda: sharded_engine.generate(attack, x, y, 0.2), repeats=2)
-    suite.record("process_sharding.serial_s", serial_s)
-    suite.record("process_sharding.sharded_s", sharded_s)
-    suite.record(
-        "process_sharding.speedup",
-        serial_s / sharded_s,
-        unit="ratio",
-        higher_is_better=True,
-        min_cores=4,
-    )
-    benchmark.extra_info["cores"] = cores
-    benchmark.extra_info["serial_ms"] = serial_s * 1e3
-    benchmark.extra_info["sharded_ms"] = sharded_s * 1e3
-    benchmark.extra_info["speedup"] = serial_s / sharded_s
-    benchmark.pedantic(
-        lambda: sharded_engine.generate(attack, x, y, 0.2), rounds=1, iterations=1
-    )
-    assert np.array_equal(
-        serial_engine.generate(attack, x, y, 0.2),
-        sharded_engine.generate(attack, x, y, 0.2),
-    )
-    if cores >= 4 and x.shape[0] >= 64:
-        assert serial_s / sharded_s >= 1.5, (
-            f"process sharding only {serial_s / sharded_s:.2f}x on {cores} cores"
-        )

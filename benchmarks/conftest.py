@@ -22,11 +22,10 @@ Scale knobs (environment variables):
     Training epochs for the accurate models (default 4).
 ``REPRO_BENCH_WORKERS``
     Worker count for the figure sweeps (default ``auto`` = one per core;
-    results are invariant to this knob).  Victim evaluation shards
-    prediction batches across that many threads; adversarial-example
-    generation shards the crafting batch across that many *processes*
-    (see ``repro.attacks.engine``; override the backend with
-    ``REPRO_ATTACK_BACKEND=serial``).
+    results are invariant to this knob).  Training and victim evaluation
+    shard their batches across that many threads; adversarial-example
+    generation always runs in the calling process (see
+    ``repro.attacks.engine`` for why).
 ``REPRO_REQUIRE_CACHED``
     When set, any benchmark step that would train or craft fails instead —
     the hook CI uses to assert that a repeated run is served entirely from

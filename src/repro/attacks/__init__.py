@@ -7,8 +7,8 @@ attacks), together with the l0/l2/linf distance metrics.
 
 Attacks are declarative step/init descriptions driven by the unified
 batched runtime in :mod:`repro.attacks.engine`, which amortises epsilon
-sweeps (``generate_sweep``) and shards crafting batches over worker
-processes — bit-identically for every worker count.
+sweeps (``generate_sweep``) and crafts fixed-size shards in the calling
+process.
 """
 
 from repro.attacks.base import (
@@ -21,11 +21,7 @@ from repro.attacks.base import (
     AttackMetadata,
     AttackState,
 )
-from repro.attacks.engine import (
-    DEFAULT_SHARD_SIZE,
-    AttackEngine,
-    resolve_backend,
-)
+from repro.attacks.engine import DEFAULT_SHARD_SIZE, AttackEngine
 from repro.attacks.bim import BIML2, BIMLinf
 from repro.attacks.contrast import ContrastReductionL2
 from repro.attacks.distances import (
@@ -68,7 +64,6 @@ __all__ = [
     "AttackMetadata",
     "AttackState",
     "DEFAULT_SHARD_SIZE",
-    "resolve_backend",
     "GRADIENT",
     "DECISION",
     "PIXEL_MIN",

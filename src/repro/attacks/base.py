@@ -45,7 +45,6 @@ import numpy as np
 
 from repro.nn.losses import CrossEntropyLoss, Loss
 from repro.nn.model import Sequential
-from repro.nn.runtime import WorkerSpec
 
 #: valid image range used throughout the paper's datasets
 PIXEL_MIN = 0.0
@@ -126,21 +125,17 @@ class Attack(ABC):
         images: np.ndarray,
         labels: np.ndarray,
         epsilon: float,
-        workers: WorkerSpec = None,
         seed: int = None,
     ) -> np.ndarray:
         """Craft adversarial examples within the given perturbation budget.
 
-        ``workers`` shards the batch across worker processes (``"auto"`` =
-        one per core; the default reads ``REPRO_DEFAULT_WORKERS``, else 1);
-        results are bit-identical for every worker count.  Regeneration with
-        equal inputs is bit-identical; pass a varying ``seed`` to override
-        the attack's own seed when fresh randomness per call is wanted
-        (e.g. adversarial training).
+        Regeneration with equal inputs is bit-identical; pass a varying
+        ``seed`` to override the attack's own seed when fresh randomness per
+        call is wanted (e.g. adversarial training).
         """
         from repro.attacks.engine import AttackEngine
 
-        return AttackEngine(model, workers=workers).generate(
+        return AttackEngine(model).generate(
             self, images, labels, epsilon, seed=seed
         )
 
@@ -150,7 +145,6 @@ class Attack(ABC):
         images: np.ndarray,
         labels: np.ndarray,
         epsilons,
-        workers: WorkerSpec = None,
         seed: int = None,
     ) -> Dict[float, np.ndarray]:
         """Craft adversarial examples for every budget in one amortised pass.
@@ -161,7 +155,7 @@ class Attack(ABC):
         """
         from repro.attacks.engine import AttackEngine
 
-        return AttackEngine(model, workers=workers).generate_sweep(
+        return AttackEngine(model).generate_sweep(
             self, images, labels, epsilons, seed=seed
         )
 

@@ -1,12 +1,11 @@
-"""Unified batched attack runtime (epsilon-sweep amortization + process sharding).
+"""Unified batched attack runtime: epsilon-sweep amortization, in-process.
 
 The paper's pipeline (Algorithm 1) crafts every adversarial example on the
-source model before any victim is evaluated, so attack generation is the
-wall-clock bottleneck of the figure sweeps.  :class:`AttackEngine` owns the
+source model before any victim is evaluated, so attack generation is on the
+critical path of every cold figure sweep.  :class:`AttackEngine` owns the
 whole crafting loop — input validation, RNG seeding, the epsilon sweep,
 final clipping — and drives the declarative hooks attacks describe
-themselves with (see :class:`repro.attacks.base.Attack`).  Two levers make
-it fast:
+themselves with (see :class:`repro.attacks.base.Attack`).
 
 **Sweep amortization.**  :meth:`AttackEngine.generate_sweep` crafts every
 budget of a sweep in one pass.  Epsilon-independent work runs once and is
@@ -19,25 +18,28 @@ that diverge per budget (PGD after the random start, BIM from step two,
 DeepFool) still run per budget — exactly the work a per-epsilon loop would
 do, never more.
 
-**Process sharding.**  Crafting is gradient-bound and GIL-heavy — worker
-threads neither speed it up nor share one model's backward caches safely —
-so the engine shards the *batch* across worker processes
-(:class:`repro.nn.runtime.ProcessShardPool`, started with ``spawn``).
-Models travel as :func:`repro.nn.serialization.dumps_model` snapshots.
+**Why crafting runs in the calling process.**  Shards run one after
+another on the caller's model object.  Crafting is gradient-bound, and its
+large GEMMs already run on every core through the multi-threaded BLAS, so
+extra workers mostly compete with it.  Measured on the Fig. 4a craft
+(LeNet-5, BIM-linf, 60 samples x 10 budgets, two 32-sample shards; a
+2-core x86-64 VM, OpenBLAS on 2 threads; median of three fresh
+processes), the stage took 2.9 s serially, 3.8 s on two thread replicas
+of the model and 5.6 s on two spawn-started worker processes, most of
+which was interpreter start-up.
 
-Reproducibility contract: results are bit-identical (a) for every worker
-count, (b) between the serial and process backends, and (c) between
-per-budget :meth:`generate` calls and one :meth:`generate_sweep`.  This
-holds because the shard decomposition depends only on ``(n_samples,
-shard_size)`` — never on ``workers`` — and each shard's RNG is spawned from
-a root :class:`numpy.random.SeedSequence` keyed by the attack's seed, so
-shard *i* sees the same stream no matter which process (or how many) runs
-it, and hooks consume the stream only in epsilon-independent positions.
+Reproducibility contract: results are bit-identical between per-budget
+:meth:`generate` calls and one :meth:`generate_sweep`, and across repeated
+calls with equal inputs.  The shard decomposition depends only on
+``(n_samples, shard_size)``, and each shard's RNG is spawned from a root
+:class:`numpy.random.SeedSequence` keyed by the attack's seed, so shard *i*
+always sees the same stream, and hooks consume it only in
+epsilon-independent positions.  ``shard_size`` is therefore part of a
+seeded attack's semantics.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -47,45 +49,22 @@ from repro.attacks.base import (
     PIXEL_MIN,
     Attack,
     AttackContext,
-    AttackState,
 )
 from repro.errors import ConfigurationError
 from repro.nn.model import Sequential
-from repro.nn.runtime import (
-    ProcessShardPool,
-    WorkerSpec,
-    batch_slices,
-    resolve_workers,
-    validate_batch_size,
-)
-from repro.nn.serialization import dumps_model, loads_model
+from repro.nn.runtime import batch_slices, validate_batch_size
 
-#: samples per shard — fixed independently of the worker count, which is
-#: what keeps results bit-identical for every ``workers`` value
+#: samples per shard; with the attack's seed it fixes every shard's RNG stream
 DEFAULT_SHARD_SIZE = 32
-
-#: environment variable selecting the sharding backend (CI matrix hook)
-BACKEND_ENV_VAR = "REPRO_ATTACK_BACKEND"
-
-SERIAL = "serial"
-PROCESS = "process"
-_BACKENDS = (SERIAL, PROCESS)
 
 
 def resolve_backend(backend: str = None) -> str:
-    """Resolve a sharding backend name (``None`` reads :data:`BACKEND_ENV_VAR`).
+    """Exists only for the benchmark harness; goes in its next change.
 
-    ``"process"`` (the default) runs multi-shard crafting on a spawn-based
-    process pool when ``workers > 1``; ``"serial"`` forces the in-process
-    loop regardless of the worker count.
+    The harness records the value in its runtime line.  Crafting has one
+    backend, in-process, so this is always ``"serial"``.
     """
-    if backend is None:
-        backend = os.environ.get(BACKEND_ENV_VAR) or PROCESS
-    if not isinstance(backend, str) or backend.strip().lower() not in _BACKENDS:
-        raise ConfigurationError(
-            f"attack backend must be one of {_BACKENDS}, got {backend!r}"
-        )
-    return backend.strip().lower()
+    return "serial"
 
 
 def _sweep_shard(
@@ -127,21 +106,6 @@ def _sweep_shard(
     return out
 
 
-def _craft_shard_task(task: dict) -> Dict[float, np.ndarray]:
-    """Worker-process entry point (module-level so ``spawn`` can import it)."""
-    model = task["model"]
-    if isinstance(model, bytes):
-        model = loads_model(model)
-    return _sweep_shard(
-        task["attack"],
-        model,
-        task["images"],
-        task["labels"],
-        task["epsilons"],
-        task["seed"],
-    )
-
-
 class AttackEngine:
     """Batched attack runtime bound to one source model.
 
@@ -150,31 +114,14 @@ class AttackEngine:
     model:
         The source model adversarial examples are crafted on (the accurate
         float DNN, per the paper's threat model).
-    workers:
-        Worker processes for batch sharding: a positive int, ``"auto"``
-        (one per core) or ``None`` (``REPRO_DEFAULT_WORKERS``, else 1).
-        Results are bit-identical for every value.
-    backend:
-        ``"process"`` (default, or ``REPRO_ATTACK_BACKEND``) or
-        ``"serial"``.  Threads are deliberately not offered: crafting
-        mutates per-layer backward caches, which concurrent threads on one
-        model object would corrupt.
     shard_size:
-        Samples per shard.  Part of the attack semantics for seeded attacks
-        (each shard draws from its own spawned stream), so it is fixed by
-        configuration — never derived from the worker count.
+        Samples per shard; shards run in order in the calling process.
+        Part of the attack semantics for seeded attacks (each shard draws
+        from its own spawned stream), so it is fixed by configuration.
     """
 
-    def __init__(
-        self,
-        model: Sequential,
-        workers: WorkerSpec = None,
-        backend: str = None,
-        shard_size: int = None,
-    ) -> None:
+    def __init__(self, model: Sequential, shard_size: int = None) -> None:
         self.model = model
-        self.workers = resolve_workers(workers)
-        self.backend = resolve_backend(backend)
         self.shard_size = validate_batch_size(
             DEFAULT_SHARD_SIZE if shard_size is None else shard_size
         )
@@ -230,42 +177,15 @@ class AttackEngine:
         if seed is None:
             seed = attack.seed
         root = np.random.SeedSequence(0 if seed is None else seed)
-        seeds = root.spawn(len(slices))
-        shard_results = self._run_shards(attack, images, labels, epsilons, slices, seeds)
+        shard_results = [
+            _sweep_shard(
+                attack, self.model, images[shard], labels[shard], epsilons, stream
+            )
+            for shard, stream in zip(slices, root.spawn(len(slices)))
+        ]
         return {
             epsilon: np.concatenate(
                 [result[epsilon] for result in shard_results], axis=0
             )
             for epsilon in epsilons
         }
-
-    # ------------------------------------------------------------ dispatch
-    def _run_shards(self, attack, images, labels, epsilons, slices, seeds):
-        use_processes = (
-            self.backend == PROCESS
-            and self.workers > 1
-            and len(slices) > 1
-            and isinstance(self.model, Sequential)
-        )
-        if not use_processes:
-            return [
-                _sweep_shard(attack, self.model, images[s], labels[s], epsilons, seed)
-                for s, seed in zip(slices, seeds)
-            ]
-        payload = dumps_model(self.model)
-        tasks = [
-            {
-                "model": payload,
-                "attack": attack,
-                "images": images[s],
-                "labels": labels[s],
-                "epsilons": epsilons,
-                "seed": seed,
-            }
-            for s, seed in zip(slices, seeds)
-        ]
-        # context manager: a crafting failure tears the spawn pool down
-        # instead of leaking worker processes; the happy path keeps the
-        # warm executor cached for the next sweep
-        with ProcessShardPool(self.workers) as pool:
-            return pool.map(_craft_shard_task, tasks)

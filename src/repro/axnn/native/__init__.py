@@ -16,11 +16,11 @@ Backend choice is governed by ``REPRO_KERNEL_BACKEND``:
 * ``numpy`` — force the reference implementations (native tier disabled).
 
 Resolution happens once, on first use, behind a lock (the double-checked
-pattern shared with :class:`repro.axnn.kernels.MultiplierKernelProfile` and
-``nn/runtime.ProcessShardPool``), so first-touch compilation is
-thread-safe.  ``reset_backend()`` drops the cached resolution — it is
-invoked from :func:`repro.axnn.kernels.clear_profile_cache` so tests can
-flip the environment variable and re-resolve.
+pattern shared with :class:`repro.axnn.kernels.MultiplierKernelProfile`),
+so first-touch compilation is safe under threaded prediction shards.
+``reset_backend()`` drops the cached resolution — it is invoked from
+:func:`repro.axnn.kernels.clear_profile_cache` so tests can flip the
+environment variable and re-resolve.
 
 This module must stay importable from :mod:`repro.nn.functional` without
 creating a cycle, so it imports nothing from the :mod:`repro.axnn`

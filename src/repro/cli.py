@@ -35,7 +35,7 @@ Examples::
     python -m repro.cli sweep --attack BIM_linf --multipliers M1,M4,M8 --samples 40
     python -m repro.cli report --results benchmarks/results --output EXPERIMENTS.md
 
-Every subcommand that performs inference or crafting takes ``--workers``
+Every subcommand that trains or performs inference takes ``--workers``
 (a positive int or ``auto``); results are invariant to it.
 """
 
@@ -72,15 +72,14 @@ def add_workers_argument(parser: argparse.ArgumentParser, default: str = None) -
 
     The raw value (``"auto"`` or an int spelling) is resolved by
     ``repro.nn.runtime.resolve_workers`` downstream — every subcommand that
-    runs inference or crafting routes through this one helper so the flag
+    trains or runs inference routes through this one helper so the flag
     behaves identically everywhere.
     """
     parser.add_argument(
         "--workers",
         default=default,
-        help="worker count for attack generation (processes) and victim "
-        "evaluation (threads): a positive int or 'auto' (one per core); "
-        "results are invariant to it",
+        help="worker threads for training and victim evaluation: a positive "
+        "int or 'auto' (one per core); results are invariant to it",
     )
 
 

@@ -92,15 +92,12 @@ class AdversarialTrainer:
         indices = self._rng.choice(images.shape[0], size=count, replace=False)
         # the engine reseeds per crafting call, so stochastic attacks (PGD
         # starts, noise draws) need a fresh seed per minibatch — drawn from
-        # the trainer's own RNG to keep the whole run deterministic.  The
-        # hot loop pins workers=1: per-step sub-batches are too small to
-        # amortise process sharding and the model changes every step.
+        # the trainer's own RNG to keep the whole run deterministic.
         adversarial = self.attack.generate(
             self.model,
             images[indices],
             labels[indices],
             self.epsilon,
-            workers=1,
             seed=int(self._rng.integers(0, 2**31 - 1)),
         )
         augmented = images.copy()

@@ -261,9 +261,9 @@ class Session:
         An :class:`ArtifactStore`, a root directory path, or ``None`` for
         the default root (``$REPRO_ARTIFACT_DIR`` or ``~/.cache/repro``).
     workers:
-        Default worker spec for attack generation (processes) and victim
-        evaluation (threads); overridable per :meth:`run` call.  Results
-        are invariant to it.
+        Default worker spec (threads) for training and victim evaluation;
+        overridable per :meth:`run` call.  Attack crafting always runs in
+        the calling process.  Results are invariant to it.
     progress:
         Optional callback receiving :class:`ProgressEvent` notifications.
     require_cached:
@@ -645,6 +645,12 @@ class Session:
         """
         lease = self.store.lease("model", digest)
         if lease.acquire():
+            # a writer that stored and released between our cache miss and
+            # this claim leaves its artifact behind: use it, do not retrain
+            trained = self._load_cached_model(model_spec, model, dataset, digest)
+            if trained is not None:
+                lease.release()
+                return None, trained
             return lease, None
         holder = lease.holder() or {}
         self._emit(
@@ -745,7 +751,6 @@ class Session:
             test.images[: sweep.n_samples],
             test.labels[: sweep.n_samples],
             epsilons,
-            workers=workers if workers is not None else self.workers,
             seed=seed,
         )
         if use_cache:

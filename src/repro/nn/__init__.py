@@ -41,14 +41,13 @@ from repro.nn.metrics import accuracy, accuracy_percent, confusion_matrix, top_k
 from repro.nn.model import Sequential
 from repro.nn.optimizers import SGD, Adam, Optimizer
 from repro.nn.runtime import (
-    ProcessShardPool,
     available_workers,
     batch_slices,
     resolve_workers,
     run_sharded,
     validate_batch_size,
 )
-from repro.nn.serialization import dumps_model, load_weights, loads_model, save_weights
+from repro.nn.serialization import load_weights, save_weights
 from repro.nn.trainer import Trainer, TrainingHistory
 
 __all__ = [
@@ -92,9 +91,6 @@ __all__ = [
     "top_k_accuracy",
     "save_weights",
     "load_weights",
-    "dumps_model",
-    "loads_model",
-    "ProcessShardPool",
     "available_workers",
     "batch_slices",
     "resolve_workers",

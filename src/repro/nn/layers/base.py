@@ -100,9 +100,9 @@ class Layer:
 
     #: names of instance attributes holding transient forward-pass caches
     #: (im2col buffers, activation masks, input shapes).  Subclasses declare
-    #: theirs so that pickling a layer — e.g. shipping a model snapshot to a
-    #: spawn-started attack worker — carries parameters, never the last
-    #: batch's activations.
+    #: theirs so that training replicas (:func:`repro.nn.engine.training_replicas`)
+    #: get cache slots of their own, and a pickled layer carries parameters,
+    #: never the last batch's activations.
     _transient_attrs: Tuple[str, ...] = ()
 
     def __init__(self, name: Optional[str] = None) -> None:

@@ -1,21 +1,12 @@
-"""Model serialization: ``.npz`` weight archives and spawn-safe snapshots.
+"""Model serialization: ``.npz`` weight archives.
 
-Two serialization forms coexist here:
-
-* :func:`save_weights` / :func:`load_weights` persist *parameters only* to
-  disk, keyed by layer name (the model zoo's cache format);
-* :func:`dumps_model` / :func:`loads_model` snapshot a *whole built model*
-  (architecture + parameters) to bytes for shipping to spawn-started worker
-  processes — the transport the process-sharded attack runtime uses.  Layers
-  drop their transient backward caches on pickling (see
-  :meth:`repro.nn.layers.base.Layer.__getstate__`), so the payload stays
-  small and the copy behaves like a freshly built model.
+:func:`save_weights` / :func:`load_weights` persist *parameters only* to
+disk, keyed by layer name (the model zoo's cache format).
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 from typing import Dict
 
 import numpy as np
@@ -42,26 +33,3 @@ def load_weights(model: Sequential, path: str) -> None:
             key.replace("__", "/"): archive[key] for key in archive.files
         }
     model.load_state_dict(state)
-
-
-def dumps_model(model: Sequential) -> bytes:
-    """Snapshot a built model to bytes (architecture + parameters).
-
-    The payload is safe to hand to a ``spawn``-started process: it carries
-    no transient activation caches, no open handles and no thread state.
-    """
-    if not isinstance(model, Sequential):
-        raise ConfigurationError(
-            f"dumps_model expects a Sequential model, got {type(model).__name__}"
-        )
-    return pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def loads_model(payload: bytes) -> Sequential:
-    """Rebuild a model snapshot produced by :func:`dumps_model`."""
-    model = pickle.loads(payload)
-    if not isinstance(model, Sequential):
-        raise ConfigurationError(
-            f"model payload decoded to {type(model).__name__}, expected Sequential"
-        )
-    return model

@@ -15,8 +15,7 @@ the victim, so :class:`AdversarialSuite` materialises the examples once per
 (attack, epsilon) and every victim re-uses them.  Generation runs through
 :class:`repro.attacks.engine.AttackEngine`: the whole budget sweep is
 crafted in one amortised pass (epsilon-independent gradients and noise
-draws are shared across budgets) and the batch is sharded over worker
-processes when ``workers > 1``.
+draws are shared across budgets).
 """
 
 from __future__ import annotations
@@ -63,7 +62,6 @@ class AdversarialSuite:
         images: np.ndarray,
         labels: np.ndarray,
         epsilons: Sequence[float],
-        workers: WorkerSpec = None,
         engine: Optional[AttackEngine] = None,
         seed: int = None,
     ) -> "AdversarialSuite":
@@ -71,9 +69,8 @@ class AdversarialSuite:
 
         The full sweep runs in one :meth:`AttackEngine.generate_sweep` pass:
         bit-identical to one ``generate`` call per budget, but shared work
-        (single-step gradients, noise draws) is paid once, and the batch is
-        sharded over worker processes when ``workers > 1``.  Pass a
-        pre-configured ``engine`` to override backend or shard size.
+        (single-step gradients, noise draws) is paid once.  Pass a
+        pre-configured ``engine`` to override the shard size.
         ``seed`` overrides the attack's own seed for this crafting pass —
         the declarative experiment API threads its experiment seed through
         here so identical specs always produce identical cached artifacts.
@@ -89,7 +86,7 @@ class AdversarialSuite:
             labels=labels,
         )
         if engine is None:
-            engine = AttackEngine(source_model, workers=workers)
+            engine = AttackEngine(source_model)
         suite.adversarial.update(
             engine.generate_sweep(attack, images, labels, suite.epsilons, seed=seed)
         )
@@ -168,9 +165,7 @@ def evaluate_robustness(
     workers: WorkerSpec = None,
 ) -> List[RobustnessResult]:
     """One-shot convenience wrapper: generate the suite and evaluate one victim."""
-    suite = AdversarialSuite.generate(
-        source_model, attack, images, labels, epsilons, workers=workers
-    )
+    suite = AdversarialSuite.generate(source_model, attack, images, labels, epsilons)
     return suite.evaluate(victim, victim_name, workers=workers)
 
 

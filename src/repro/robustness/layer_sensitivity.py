@@ -83,9 +83,8 @@ def layer_sensitivity_analysis(
     layers:
         Subset of compute-layer names to analyse (default: all of them).
     workers:
-        Worker count for the per-victim accuracy evaluations (threads) and
-        for adversarial-example generation (processes); ``"auto"`` = one
-        per core.  Results are invariant to it.
+        Worker count (threads) for the per-victim accuracy evaluations;
+        ``"auto"`` = one per core.  Results are invariant to it.
     """
     all_layers = compute_layer_names(model)
     if not all_layers:
@@ -99,7 +98,7 @@ def layer_sensitivity_analysis(
 
     adversarial = None
     if attack is not None:
-        adversarial = attack.generate(model, images, labels, epsilon, workers=workers)
+        adversarial = attack.generate(model, images, labels, epsilon)
 
     kind_by_name = {
         layer.name: type(layer).__name__

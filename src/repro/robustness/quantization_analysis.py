@@ -77,9 +77,7 @@ def compare_float_and_quantized(
     workers: WorkerSpec = "auto",
 ) -> QuantizationComparison:
     """Robustness of the float model vs its 8-bit quantized version for one attack."""
-    suite = AdversarialSuite.generate(
-        model, attack, images, labels, epsilons, workers=workers
-    )
+    suite = AdversarialSuite.generate(model, attack, images, labels, epsilons)
     if quantized is None:
         quantized = build_quantized_accurate(model, calibration_data)
     float_results = suite.evaluate(model, "float", workers=workers)

@@ -197,16 +197,16 @@ def multiplier_sweep(
     Adversarial examples are generated once on the source model and shared by
     all victims, exactly as in Algorithm 1 (the adversary never sees the
     approximate inference engine).  Generation runs the whole budget sweep
-    in one amortised engine pass, sharded over worker *processes*; victim
-    evaluation shards prediction batches across worker *threads*.  Both use
-    ``workers`` (default one per core) and the grid is bit-identical for
-    every worker count.  ``seed`` overrides the attack's own crafting seed
-    (the hook the declarative experiment API uses for artifact determinism).
+    in one amortised engine pass; victim evaluation shards prediction
+    batches across ``workers`` threads (default one per core), and the grid
+    is bit-identical for every worker count.  ``seed`` overrides the
+    attack's own crafting seed (the hook the declarative experiment API
+    uses for artifact determinism).
     """
     if not victims:
         raise ConfigurationError("at least one victim AxDNN is required")
     suite = AdversarialSuite.generate(
-        source_model, attack, images, labels, epsilons, workers=workers, seed=seed
+        source_model, attack, images, labels, epsilons, seed=seed
     )
     return grid_from_suite(
         suite,

@@ -97,8 +97,8 @@ def transferability_analysis(
     ``sources`` maps source names (e.g. ``"AccL5"``) to accurate float models
     used for crafting the adversarial examples; ``victims`` maps victim names
     (e.g. ``"AxL5"``, ``"AxAlx"``) to AxDNNs evaluated on those examples.
-    ``workers`` shards attack generation over processes and victim
-    evaluation over threads; cells are invariant to it.
+    ``workers`` shards victim evaluation over threads; cells are invariant
+    to it.
     """
     if epsilon < 0:
         raise ConfigurationError(f"epsilon must be >= 0, got {epsilon}")
@@ -106,8 +106,9 @@ def transferability_analysis(
     labels = np.asarray(labels, dtype=np.int64)
     cells: List[TransferabilityCell] = []
     for source_name, source_model in sources.items():
-        engine = AttackEngine(source_model, workers=workers)
-        adversarial = engine.generate(attack, images, labels, epsilon)
+        adversarial = AttackEngine(source_model).generate(
+            attack, images, labels, epsilon
+        )
         for victim_name, victim in victims.items():
             before = call_with_workers(
                 victim.accuracy_percent, images, labels, workers=workers

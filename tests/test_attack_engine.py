@@ -1,11 +1,13 @@
 """Tests for the unified attack runtime (repro.attacks.engine).
 
-The engine's contract is bit-for-bit reproducibility along three axes:
-per-budget ``generate`` vs one amortised ``generate_sweep``, every worker
-count (1 / N / 'auto'), and the serial vs process sharding backends — plus
-the amortization guarantee that an FGM-family epsilon sweep costs exactly
-one gradient evaluation.
+The engine's contract is bit-for-bit reproducibility: per-budget
+``generate`` vs one amortised ``generate_sweep``, a fixed shard
+decomposition (pinned by golden digests), and shard-size invariance for the
+attacks that draw no random numbers — plus the amortization guarantee that
+an FGM-family epsilon sweep costs exactly one gradient evaluation.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -22,14 +24,11 @@ from repro.attacks import (
     available_attacks,
     get_attack,
 )
-from repro.attacks.engine import (
-    BACKEND_ENV_VAR,
-    DEFAULT_SHARD_SIZE,
-    resolve_backend,
-)
+from repro.attacks.engine import DEFAULT_SHARD_SIZE, _sweep_shard
 from repro.attacks.extended import EXTENDED_ATTACKS, get_extended_attack
+from repro.benchmarking.report import blas_fingerprint
 from repro.errors import ConfigurationError
-from repro.nn import ProcessShardPool, Sequential, dumps_model, loads_model
+from repro.nn import Sequential, batch_slices
 from repro.robustness import AdversarialSuite
 
 ALL_KEYS = sorted(available_attacks()) + sorted(EXTENDED_ATTACKS)
@@ -88,60 +87,102 @@ class TestSweepMatchesGenerate:
         assert set(sweep) == {0.1, 0.2}
 
 
-class TestWorkerInvariance:
-    @pytest.mark.parametrize("key", sorted(available_attacks()))
-    def test_bit_identical_across_worker_counts(self, key, tiny_cnn, engine_data):
+def _sweep_digest(sweep):
+    """SHA-256 over a sweep's float64 bytes, in ascending budget order."""
+    digest = hashlib.sha256()
+    for epsilon in sorted(sweep):
+        array = np.ascontiguousarray(sweep[epsilon], dtype=np.float64)
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+#: ``generate_sweep`` digests over SWEEP_EPSILONS on the tiny_cnn/engine_data
+#: fixtures at shard_size=5 (three shards).  Recorded when crafting could
+#: still run on worker processes, where both backends gave these bytes.
+GOLDEN_SWEEP_DIGESTS = {
+    "BIM_linf": "33f74fa8c5efc2931d52d0330dcc437115a01ce18b58ee2b6fba7844a6bee502",
+    "PGD_linf": "ea75fd5a6e268531242aafcc48cb17f1ff96ae1488996809ba2fe734727095a8",
+    "RAU_linf": "b95051497b7f5560fa682b8b3a32223ce726e43bb7830cb4748097630f58968e",
+}
+
+#: the numeric stack the digests were recorded on; float64 GEMM rounding
+#: (and with it every trained weight and crafted byte) depends on it
+GOLDEN_STACK = ("2.4.6", "scipy-openblas", "0.3.31.188.0")
+
+
+def _numeric_stack():
+    blas = blas_fingerprint()
+    return (np.__version__, blas["blas"], blas["blas_version"])
+
+
+class TestGoldenDigests:
+    @pytest.mark.skipif(
+        _numeric_stack() != GOLDEN_STACK,
+        reason="golden digests are recorded for one numpy/BLAS build",
+    )
+    @pytest.mark.parametrize("key", sorted(GOLDEN_SWEEP_DIGESTS))
+    def test_crafted_bytes_unchanged(self, key, tiny_cnn, engine_data):
+        x, y = engine_data
+        sweep = AttackEngine(tiny_cnn, shard_size=5).generate_sweep(
+            get_attack(key), x, y, SWEEP_EPSILONS
+        )
+        assert _sweep_digest(sweep) == GOLDEN_SWEEP_DIGESTS[key]
+
+
+class TestShardDecomposition:
+    @pytest.mark.parametrize("key", SEEDED_KEYS)
+    def test_shards_draw_independent_spawned_streams(self, key, tiny_cnn, engine_data):
+        # shard i of a sweep is the core loop run alone on shard i's rows
+        # with the i-th stream spawned from the attack's seed
         x, y = engine_data
         attack = _make_attack(key)
-        # shard_size=5 over 12 samples -> 3 shards, so workers=2 really
-        # dispatches to the process pool
-        serial = AttackEngine(tiny_cnn, workers=1, shard_size=5).generate(
-            attack, x, y, 0.25
+        sweep = AttackEngine(tiny_cnn, shard_size=5).generate_sweep(
+            attack, x, y, [0.25]
         )
-        sharded = AttackEngine(
-            tiny_cnn, workers=2, backend="process", shard_size=5
-        ).generate(attack, x, y, 0.25)
-        auto = AttackEngine(tiny_cnn, workers="auto", shard_size=5).generate(
-            attack, x, y, 0.25
-        )
-        assert np.array_equal(serial, sharded), key
-        assert np.array_equal(serial, auto), key
+        slices = batch_slices(x.shape[0], 5)
+        root = np.random.SeedSequence(0 if attack.seed is None else attack.seed)
+        pieces = [
+            _sweep_shard(attack, tiny_cnn, x[s], y[s], [0.25], stream)[0.25]
+            for s, stream in zip(slices, root.spawn(len(slices)))
+        ]
+        assert np.array_equal(sweep[0.25], np.concatenate(pieces)), key
 
-    def test_sweep_bit_identical_across_worker_counts(self, tiny_cnn, engine_data):
+    @pytest.mark.parametrize("key", ["BIM_linf", "CR_l2", "FGM_linf"])
+    def test_unseeded_attacks_invariant_to_shard_size(
+        self, key, tiny_cnn, engine_data
+    ):
+        # attacks that draw no random numbers and use at most the gradient's
+        # sign craft the same bytes however the batch is split; the l2
+        # attacks normalise a batch-mean gradient, whose 1/N scale rounds
+        # differently per shard size
         x, y = engine_data
-        serial = AttackEngine(tiny_cnn, workers=1, shard_size=5).generate_sweep(
-            PGDLinf(), x, y, SWEEP_EPSILONS
+        reference = AttackEngine(tiny_cnn, shard_size=x.shape[0]).generate_sweep(
+            get_attack(key), x, y, SWEEP_EPSILONS
         )
-        sharded = AttackEngine(
-            tiny_cnn, workers=2, backend="process", shard_size=5
-        ).generate_sweep(PGDLinf(), x, y, SWEEP_EPSILONS)
-        for epsilon in SWEEP_EPSILONS:
-            assert np.array_equal(serial[epsilon], sharded[epsilon]), epsilon
-
-    def test_serial_backend_forces_in_process_run(self, tiny_cnn, engine_data):
-        x, y = engine_data
-        reference = AttackEngine(tiny_cnn, workers=1, shard_size=5).generate(
-            BIMLinf(), x, y, 0.2
-        )
-        forced = AttackEngine(
-            tiny_cnn, workers=4, backend="serial", shard_size=5
-        ).generate(BIMLinf(), x, y, 0.2)
-        assert np.array_equal(reference, forced)
+        for shard_size in (1, 5, 7):
+            split = AttackEngine(tiny_cnn, shard_size=shard_size).generate_sweep(
+                get_attack(key), x, y, SWEEP_EPSILONS
+            )
+            for epsilon in SWEEP_EPSILONS:
+                assert np.array_equal(reference[epsilon], split[epsilon]), (
+                    key, shard_size, epsilon
+                )
 
     def test_decision_attack_on_non_sequential_source(
         self, quantized_tiny, engine_data
     ):
-        # decision attacks accept any source exposing predict_classes; the
-        # engine falls back to serial sharding for non-Sequential models
+        # decision attacks accept any source exposing predict_classes, and
+        # shard it like a float model
         x, y = engine_data
         attack = get_attack("RAU_linf")
-        serial = AttackEngine(quantized_tiny, workers=1, shard_size=5).generate(
+        sharded = AttackEngine(quantized_tiny, shard_size=5).generate(
             attack, x, y, 0.4
         )
-        fallback = AttackEngine(
-            quantized_tiny, workers=2, backend="process", shard_size=5
-        ).generate(attack, x, y, 0.4)
-        assert np.array_equal(serial, fallback)
+        again = AttackEngine(quantized_tiny, shard_size=5).generate(
+            attack, x, y, 0.4
+        )
+        assert sharded.shape == x.shape
+        assert np.array_equal(sharded, again)
 
 
 class TestSweepAmortization:
@@ -151,7 +192,7 @@ class TestSweepAmortization:
     ):
         x, y = engine_data
         spy = _GradientSpy(monkeypatch)
-        engine = AttackEngine(tiny_cnn, workers=1, shard_size=x.shape[0])
+        engine = AttackEngine(tiny_cnn, shard_size=x.shape[0])
         sweep = engine.generate_sweep(
             attack_cls(), x, y, [0.05, 0.1, 0.15, 0.2, 0.25]
         )
@@ -163,7 +204,7 @@ class TestSweepAmortization:
     ):
         x, y = engine_data
         spy = _GradientSpy(monkeypatch)
-        engine = AttackEngine(tiny_cnn, workers=1, shard_size=x.shape[0])
+        engine = AttackEngine(tiny_cnn, shard_size=x.shape[0])
         for epsilon in [0.05, 0.1, 0.15, 0.2, 0.25]:
             engine.generate(FGMLinf(), x, y, epsilon)
         assert spy.calls == 5
@@ -174,7 +215,7 @@ class TestSweepAmortization:
         x, y = engine_data
         spy = _GradientSpy(monkeypatch)
         steps, budgets = 4, [0.1, 0.2, 0.3]
-        engine = AttackEngine(tiny_cnn, workers=1, shard_size=x.shape[0])
+        engine = AttackEngine(tiny_cnn, shard_size=x.shape[0])
         engine.generate_sweep(BIMLinf(steps=steps), x, y, budgets)
         # one shared first-step gradient + (steps - 1) per budget
         assert spy.calls == 1 + (steps - 1) * len(budgets)
@@ -184,7 +225,7 @@ class TestSweepAmortization:
     ):
         x, y = engine_data
         spy = _GradientSpy(monkeypatch)
-        engine = AttackEngine(tiny_cnn, workers=1, shard_size=4)
+        engine = AttackEngine(tiny_cnn, shard_size=4)
         engine.generate_sweep(FGMLinf(), x, y, [0.05, 0.1, 0.15, 0.2, 0.25])
         assert spy.calls == 3  # 12 samples / shard_size 4
 
@@ -259,12 +300,12 @@ class TestRNGReproducibility:
 
     def test_shard_size_is_part_of_seeded_semantics(self, tiny_cnn, engine_data):
         # per-shard streams are spawned per shard index, so the shard size
-        # (unlike the worker count) legitimately changes seeded draws
+        # legitimately changes seeded draws
         x, y = engine_data
-        one_shard = AttackEngine(tiny_cnn, workers=1, shard_size=12).generate(
+        one_shard = AttackEngine(tiny_cnn, shard_size=12).generate(
             PGDLinf(), x, y, 0.25
         )
-        three_shards = AttackEngine(tiny_cnn, workers=1, shard_size=4).generate(
+        three_shards = AttackEngine(tiny_cnn, shard_size=4).generate(
             PGDLinf(), x, y, 0.25
         )
         assert one_shard.shape == three_shards.shape
@@ -274,16 +315,14 @@ class TestRNGReproducibility:
 class TestSuiteIntegration:
     def test_suite_generation_matches_per_budget_calls(self, tiny_cnn, engine_data):
         x, y = engine_data
-        suite = AdversarialSuite.generate(
-            tiny_cnn, PGDLinf(), x, y, SWEEP_EPSILONS, workers=1
-        )
+        suite = AdversarialSuite.generate(tiny_cnn, PGDLinf(), x, y, SWEEP_EPSILONS)
         for epsilon in SWEEP_EPSILONS:
             expected = PGDLinf().generate(tiny_cnn, x, y, epsilon)
             assert np.array_equal(suite.adversarial[epsilon], expected)
 
     def test_suite_accepts_preconfigured_engine(self, tiny_cnn, engine_data):
         x, y = engine_data
-        engine = AttackEngine(tiny_cnn, workers=1, shard_size=4)
+        engine = AttackEngine(tiny_cnn, shard_size=4)
         suite = AdversarialSuite.generate(
             tiny_cnn, FGMLinf(), x, y, [0.0, 0.1], engine=engine
         )
@@ -306,19 +345,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             AttackEngine(tiny_cnn).generate(FGMLinf(), x, y[:-1], 0.1)
 
-    @pytest.mark.parametrize("bad", [0, -3, 1.5, "threads", "fork"])
-    def test_invalid_backend_rejected(self, bad):
-        with pytest.raises(ConfigurationError):
-            resolve_backend(bad)
-
-    def test_backend_env_var(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "serial")
-        assert resolve_backend(None) == "serial"
-        monkeypatch.setenv(BACKEND_ENV_VAR, "process")
-        assert resolve_backend(None) == "process"
-        monkeypatch.delenv(BACKEND_ENV_VAR)
-        assert resolve_backend(None) == "process"
-
     @pytest.mark.parametrize("bad", [0, -1, 2.5, True])
     def test_invalid_shard_size_rejected(self, bad, tiny_cnn):
         with pytest.raises(ConfigurationError):
@@ -326,38 +352,6 @@ class TestValidation:
 
     def test_default_shard_size(self, tiny_cnn):
         assert AttackEngine(tiny_cnn).shard_size == DEFAULT_SHARD_SIZE
-
-
-class TestModelSnapshots:
-    def test_roundtrip_preserves_predictions(self, tiny_cnn, engine_data):
-        x, _ = engine_data
-        clone = loads_model(dumps_model(tiny_cnn))
-        assert np.array_equal(clone.predict(x), tiny_cnn.predict(x))
-
-    def test_snapshot_drops_backward_caches(self, tiny_cnn, engine_data):
-        x, y = engine_data
-        tiny_cnn.input_gradient(x, y)  # populate im2col / input caches
-        cached = dumps_model(tiny_cnn)
-        for layer in loads_model(cached).layers:
-            for attr in layer._transient_attrs:
-                assert getattr(layer, attr) is None, (layer.name, attr)
-        # the live model's caches are untouched by serialization
-        assert any(
-            getattr(layer, attr) is not None
-            for layer in tiny_cnn.layers
-            for attr in layer._transient_attrs
-        )
-
-    def test_snapshot_is_cache_free_sized(self, tiny_cnn, engine_data):
-        x, y = engine_data
-        fresh = len(dumps_model(tiny_cnn))
-        tiny_cnn.input_gradient(x, y)
-        after_gradient = len(dumps_model(tiny_cnn))
-        assert after_gradient == fresh
-
-    def test_rejects_non_models(self):
-        with pytest.raises(ConfigurationError):
-            dumps_model(object())
 
 
 class TestSweepProperties:
@@ -388,28 +382,9 @@ class TestSweepProperties:
         rng = np.random.default_rng(seed)
         x = rng.random((7, 6, 6, 1))
         y = rng.integers(0, 10, size=7)
-        engine = AttackEngine(small_model, workers=1, shard_size=shard_size)
+        engine = AttackEngine(small_model, shard_size=shard_size)
         attack = PGDLinf(steps=2, seed=seed)
         sweep = engine.generate_sweep(attack, x, y, epsilons)
         for epsilon in epsilons:
             single = engine.generate(PGDLinf(steps=2, seed=seed), x, y, epsilon)
             assert np.array_equal(sweep[float(epsilon)], single)
-
-
-class TestProcessShardPool:
-    def test_single_worker_runs_inline(self):
-        pool = ProcessShardPool(1)
-        assert pool.map(len, [[1, 2], [3]]) == [2, 1]
-
-    def test_single_item_runs_inline(self):
-        pool = ProcessShardPool(4)
-        assert pool.map(len, [[1, 2, 3]]) == [3]
-
-    def test_empty_items(self):
-        assert ProcessShardPool(2).map(len, []) == []
-
-    def test_workers_resolution(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DEFAULT_WORKERS", "3")
-        assert ProcessShardPool(None).workers == 3
-        with pytest.raises(ConfigurationError):
-            ProcessShardPool(0)

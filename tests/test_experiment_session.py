@@ -6,6 +6,8 @@ performs **zero training and zero adversarial crafting** on the second run
 ``AttackEngine.generate_sweep``), and results are bit-identical.
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -296,6 +298,18 @@ class TestResultPlumbing:
         serial = Session(store=store).run(spec, use_cache=False)
         sharded = Session(store=store).run(spec, workers=2, use_cache=False)
         assert np.array_equal(serial.grids[0].values, sharded.grids[0].values)
+
+    def test_multi_shard_craft_starts_no_processes(self, store):
+        # 40 samples are two crafting shards; with workers=2 they still run
+        # in this process, and nothing is left running afterwards
+        model = ModelSpec(
+            architecture="lenet5", dataset="mnist", n_train=64, n_test=40, epochs=1
+        )
+        spec = tiny_spec(
+            model=model, sweep=SweepSpec(epsilons=(0.0, 0.1), n_samples=40)
+        )
+        Session(store=store, workers=2).run(spec)
+        assert multiprocessing.active_children() == []
 
 
 class TestParameterKeyEscape:

@@ -3,10 +3,9 @@
 Every test here drives production code through
 :class:`repro.resilience.FaultInjector` fault plans — no monkeypatched IO,
 no hand-rolled failure doubles.  The repo's determinism contract turns
-fault tolerance into a checkable invariant: a retried write, a resumed
-training run or a healed worker pool must produce *byte-identical*
-artifacts, so most tests end by comparing hashes against a fault-free
-control run.
+fault tolerance into a checkable invariant: a retried write or a resumed
+training run must produce *byte-identical* artifacts, so most tests end by
+comparing hashes against a fault-free control run.
 """
 
 import json
@@ -31,7 +30,6 @@ from repro.experiments import (
     TrainingCheckpointer,
 )
 from repro.nn import Adam, Dense, Dropout, Flatten, ReLU, Sequential, Trainer
-from repro.nn.runtime import ProcessShardPool
 from repro.resilience import (
     FAULT_PLAN_ENV_VAR,
     MAX_RETRIES_ENV_VAR,
@@ -67,10 +65,6 @@ def _fast_policy(**overrides):
 
 def _fast_store(tmp_path, **overrides):
     return ArtifactStore(str(tmp_path / "store"), retry=_fast_policy(**overrides))
-
-
-def _square(value):
-    return value * value
 
 
 # --------------------------------------------------------------- RetryPolicy
@@ -208,12 +202,6 @@ class TestFaultInjector:
         with fault_plan([FaultRule(point="p", action="delay", delay_s=0.0)]):
             rule = FaultInjector.consult("p")
         assert rule is not None and rule.action == "delay"
-
-    def test_disarm_removes_a_point(self):
-        with fault_plan([FaultRule(point="pool.worker", action="kill_worker")]):
-            assert FaultInjector.rules_for("pool.worker")
-            FaultInjector.disarm("pool.worker")
-            assert FaultInjector.rules_for("pool.worker") == ()
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(FaultInjectionError):
@@ -437,76 +425,6 @@ class TestLease:
         assert lease.acquire()
         assert [entry.digest for entry in store.entries()] == [DIGEST]
         lease.release()
-
-
-# ------------------------------------------------------------------- worker pool
-class TestProcessShardPoolResilience:
-    class _FakeExecutor:
-        def __init__(self):
-            self.shutdowns = []
-
-        def shutdown(self, wait=True, cancel_futures=False):
-            self.shutdowns.append((wait, cancel_futures))
-
-    @pytest.fixture()
-    def fake_executor(self):
-        fake = self._FakeExecutor()
-        workers = 97  # a count no real code path uses
-        ProcessShardPool._executors[workers] = fake
-        yield workers, fake
-        ProcessShardPool._executors.pop(workers, None)
-
-    def test_context_manager_tears_down_on_exception(self, fake_executor):
-        workers, fake = fake_executor
-        with pytest.raises(RuntimeError):
-            with ProcessShardPool(workers, retry=_fast_policy()):
-                raise RuntimeError("crafting failed")
-        assert workers not in ProcessShardPool._executors
-        assert fake.shutdowns  # the leaked-process guard actually fired
-
-    def test_context_manager_keeps_warm_pool_on_success(self, fake_executor):
-        workers, fake = fake_executor
-        with ProcessShardPool(workers, retry=_fast_policy()):
-            pass
-        assert ProcessShardPool._executors[workers] is fake
-        assert not fake.shutdowns
-
-    def test_single_worker_runs_inline_under_faults(self):
-        pool = ProcessShardPool(1, retry=_fast_policy())
-        with fault_plan([FaultRule(point="pool.process", count=99)]):
-            assert pool.map(_square, [1, 2, 3]) == [1, 4, 9]
-
-    def test_degrades_to_threads_when_processes_keep_failing(self):
-        pool = ProcessShardPool(2, retry=_fast_policy(max_attempts=2))
-        serial = [_square(v) for v in range(6)]
-        with fault_plan([FaultRule(point="pool.process", count=99)]):
-            assert pool.map(_square, list(range(6))) == serial
-
-    def test_degrades_to_serial_when_threads_fail_too(self):
-        pool = ProcessShardPool(2, retry=_fast_policy(max_attempts=2))
-        serial = [_square(v) for v in range(6)]
-        with fault_plan(
-            [
-                FaultRule(point="pool.process", count=99),
-                FaultRule(point="pool.thread", count=99, error="RuntimeError"),
-            ]
-        ):
-            assert pool.map(_square, list(range(6))) == serial
-
-    def test_killed_worker_is_respawned_and_results_are_identical(self):
-        items = list(range(8))
-        serial = [_square(v) for v in items]
-        pool = ProcessShardPool(2, retry=RetryPolicy(backoff_s=0.0, sleep=_no_sleep))
-        try:
-            with fault_plan(
-                [FaultRule(point="pool.worker", index=3, action="kill_worker")]
-            ):
-                healed = pool.map(_square, items)
-                # the scripted kill was disarmed by the recovery path
-                assert FaultInjector.rules_for("pool.worker") == ()
-            assert healed == serial
-        finally:
-            pool.shutdown()
 
 
 # --------------------------------------------------------- checkpoint / resume

@@ -268,6 +268,30 @@ class TestWorkspace:
         assert clone.layers[0]._workspace is None
 
 
+class TestLayerPickling:
+    def test_pickle_drops_backward_caches(self, tiny_cnn, mnist_small):
+        # a pickled model carries parameters, never the last batch's caches
+        import pickle
+
+        x = mnist_small.test.images[:12]
+        y = mnist_small.test.labels[:12]
+        cache_free_size = len(pickle.dumps(tiny_cnn))
+        tiny_cnn.input_gradient(x, y)  # populate im2col / input caches
+        payload = pickle.dumps(tiny_cnn)
+        assert len(payload) == cache_free_size
+        clone = pickle.loads(payload)
+        for layer in clone.layers:
+            for attr in layer._transient_attrs:
+                assert getattr(layer, attr) is None, (layer.name, attr)
+        # pickling leaves the live model's caches alone
+        assert any(
+            getattr(layer, attr) is not None
+            for layer in tiny_cnn.layers
+            for attr in layer._transient_attrs
+        )
+        assert np.array_equal(clone.predict(x), tiny_cnn.predict(x))
+
+
 # --------------------------------------------------------------------------
 # flat parameter view + fused optimizer steps
 # --------------------------------------------------------------------------

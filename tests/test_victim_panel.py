@@ -89,7 +89,6 @@ class TestFusedGrids:
             mnist_small.test.images[:40],
             mnist_small.test.labels[:40],
             epsilons=[0.0, 0.1, 0.2],
-            workers=1,
         )
 
     def test_grid_identical_fused_vs_per_victim(self, suite, victims):
