@@ -292,8 +292,10 @@ def _lease_expired(doc: Optional[dict], now: float) -> bool:
 class Lease:
     """A single-writer claim on one artifact key, backed by a lease file.
 
-    Acquisition is atomic (``O_CREAT | O_EXCL``); an expired lease — its
-    writer crashed or lost the host — is *taken over* by atomically
+    Acquisition is atomic: the lease document is written to a temporary
+    file and hard-linked into place, which fails if the lease exists, so no
+    reader ever sees a lease file without its document.  An expired lease —
+    its writer crashed or lost the host — is *taken over* by atomically
     replacing the file and confirming ownership on read-back, so two
     racing claimants resolve to exactly one winner.  Holders should
     :meth:`refresh` within the TTL for long computations (the Session
@@ -324,6 +326,19 @@ class Lease:
             "ttl_s": self.ttl_s,
         }
         return json.dumps(doc, indent=2, sort_keys=True).encode("utf-8")
+
+    def _write_document(self) -> str:
+        """Write a fresh lease document to a temporary file; returns its path."""
+        descriptor, temp_path = tempfile.mkstemp(
+            dir=os.path.dirname(self.path), prefix=".tmp-lease-"
+        )
+        try:
+            with os.fdopen(descriptor, "wb") as handle:
+                handle.write(self._payload())
+        except BaseException:
+            os.unlink(temp_path)
+            raise
+        return temp_path
 
     def holder(self) -> Optional[dict]:
         """The current lease document, or ``None`` when unclaimed/unreadable."""
@@ -362,48 +377,39 @@ class Lease:
         over.  A live lease held by someone else returns False.
         """
         os.makedirs(os.path.dirname(self.path), exist_ok=True)
+        temp_path = self._write_document()
         try:
-            descriptor = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            holder = self.holder()
-            if holder is not None and not _lease_expired(holder, time.time()):
-                return False
-            # expired (or unreadable) lease: take over atomically and confirm
-            # ownership on read-back — of two racing replacers exactly one
-            # token survives in the file
-            descriptor, temp_path = tempfile.mkstemp(
-                dir=os.path.dirname(self.path), prefix=".tmp-lease-"
-            )
             try:
-                with os.fdopen(descriptor, "wb") as handle:
-                    handle.write(self._payload())
+                # link, unlike O_CREAT | O_EXCL, creates the file with its
+                # document: a rival never reads an empty lease and takes
+                # it over as unreadable
+                os.link(temp_path, self.path)
+            except FileExistsError:
+                holder = self.holder()
+                if holder is not None and not _lease_expired(holder, time.time()):
+                    return False
+                # expired (or unreadable) lease: take over atomically and
+                # confirm ownership on read-back — of two racing replacers
+                # exactly one token survives in the file
                 os.replace(temp_path, self.path)
-            except BaseException:
-                if os.path.exists(temp_path):
-                    os.unlink(temp_path)
-                raise
-            self._held = self.held_by_self()
-            return self._held
-        with os.fdopen(descriptor, "wb") as handle:
-            handle.write(self._payload())
-        self._held = True
-        return True
+                self._held = self.held_by_self()
+                return self._held
+            self._held = True
+            return True
+        finally:
+            if os.path.exists(temp_path):
+                os.unlink(temp_path)
 
     def refresh(self) -> bool:
         """Extend the expiry of a lease this object holds; False if lost."""
         if not self._held or not self.held_by_self():
             self._held = False
             return False
-        descriptor, temp_path = tempfile.mkstemp(
-            dir=os.path.dirname(self.path), prefix=".tmp-lease-"
-        )
+        temp_path = self._write_document()
         try:
-            with os.fdopen(descriptor, "wb") as handle:
-                handle.write(self._payload())
             os.replace(temp_path, self.path)
         except BaseException:
-            if os.path.exists(temp_path):
-                os.unlink(temp_path)
+            os.unlink(temp_path)
             raise
         return True
 

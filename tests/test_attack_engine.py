@@ -8,6 +8,7 @@ an FGM-family epsilon sweep costs exactly one gradient evaluation.
 """
 
 import hashlib
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -24,11 +25,12 @@ from repro.attacks import (
     available_attacks,
     get_attack,
 )
-from repro.attacks.engine import DEFAULT_SHARD_SIZE, _sweep_shard
+from repro.attacks.engine import DEFAULT_SHARD_SIZE, _sweep_shard, resolve_backend
 from repro.attacks.extended import EXTENDED_ATTACKS, get_extended_attack
 from repro.benchmarking.report import blas_fingerprint
 from repro.errors import ConfigurationError
 from repro.nn import Sequential, batch_slices
+from repro.nn.runtime import ProcessShardPool
 from repro.robustness import AdversarialSuite
 
 ALL_KEYS = sorted(available_attacks()) + sorted(EXTENDED_ATTACKS)
@@ -36,6 +38,9 @@ ALL_KEYS = sorted(available_attacks()) + sorted(EXTENDED_ATTACKS)
 #: attacks whose crafting consumes the per-call RNG stream
 SEEDED_KEYS = ["PGD_linf", "PGD_l2", "RAG_l2", "RAU_l2", "RAU_linf",
                "SAP_l0", "AGN_l2", "BUN_l2"]
+
+#: attacks whose crafting draws no random numbers
+UNSEEDED_KEYS = [key for key in ALL_KEYS if key not in SEEDED_KEYS]
 
 SWEEP_EPSILONS = [0.0, 0.05, 0.1, 0.2, 0.3]
 
@@ -146,6 +151,36 @@ class TestShardDecomposition:
             for s, stream in zip(slices, root.spawn(len(slices)))
         ]
         assert np.array_equal(sweep[0.25], np.concatenate(pieces)), key
+
+    @pytest.mark.parametrize("key", UNSEEDED_KEYS)
+    def test_unseeded_shard_is_core_loop_on_its_rows(self, key, tiny_cnn, engine_data):
+        # an attack that draws no random numbers crafts each shard from its
+        # rows alone, whatever stream the shard is handed
+        x, y = engine_data
+        attack = _make_attack(key)
+        sweep = AttackEngine(tiny_cnn, shard_size=5).generate_sweep(
+            attack, x, y, [0.25]
+        )
+        pieces = [
+            _sweep_shard(
+                attack, tiny_cnn, x[s], y[s], [0.25], np.random.SeedSequence(99)
+            )[0.25]
+            for s in batch_slices(x.shape[0], 5)
+        ]
+        assert np.array_equal(sweep[0.25], np.concatenate(pieces)), key
+
+    @pytest.mark.parametrize("key", ALL_KEYS)
+    def test_multi_shard_sweep_matches_per_budget_generate(
+        self, key, tiny_cnn, engine_data
+    ):
+        # the amortised sweep and the per-budget loop split the batch into
+        # the same shards and hand each the same stream
+        x, y = engine_data
+        engine = AttackEngine(tiny_cnn, shard_size=5)
+        sweep = engine.generate_sweep(_make_attack(key), x, y, SWEEP_EPSILONS)
+        for epsilon in SWEEP_EPSILONS:
+            single = engine.generate(_make_attack(key), x, y, epsilon)
+            assert np.array_equal(sweep[epsilon], single), (key, epsilon)
 
     @pytest.mark.parametrize("key", ["BIM_linf", "CR_l2", "FGM_linf"])
     def test_unseeded_attacks_invariant_to_shard_size(
@@ -352,6 +387,19 @@ class TestValidation:
 
     def test_default_shard_size(self, tiny_cnn):
         assert AttackEngine(tiny_cnn).shard_size == DEFAULT_SHARD_SIZE
+
+
+class TestBenchmarkHarnessShims:
+    """The two names the frozen benchmark harness still imports."""
+
+    def test_resolve_backend_reports_in_process_crafting(self):
+        assert resolve_backend(None) == "serial"
+
+    def test_shutdown_all_is_a_no_op(self, tiny_cnn, engine_data):
+        x, y = engine_data
+        AttackEngine(tiny_cnn, shard_size=4).generate(PGDLinf(), x, y, 0.25)
+        assert ProcessShardPool.shutdown_all() is None
+        assert multiprocessing.active_children() == []
 
 
 class TestSweepProperties:

@@ -492,6 +492,30 @@ class TestRecorder:
         merged = load_report(report_path(str(tmp_path), "demo"))
         assert set(merged.metric_names()) == {"a.s", "b.s"}
 
+    def test_many_concurrent_writers_all_land(self, tmp_path):
+        names = [f"w{index}" for index in range(6)]
+        barrier = threading.Barrier(len(names))
+        errors = []
+
+        def write(name):
+            try:
+                barrier.wait(timeout=10)
+                report = _report(
+                    metrics=[BenchmarkResult(name=f"{name}.s", value=1.0)]
+                )
+                record_report(report, str(tmp_path))
+            except Exception as exc:  # pragma: no cover - failure detail
+                errors.append(exc)
+
+        threads = [threading.Thread(target=write, args=(name,)) for name in names]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not errors
+        merged = load_report(report_path(str(tmp_path), "demo"))
+        assert set(merged.metric_names()) == {f"{name}.s" for name in names}
+
     def test_held_lock_times_out_with_warning(self, tmp_path, caplog):
         path = report_path(str(tmp_path), "demo")
         os.makedirs(str(tmp_path), exist_ok=True)

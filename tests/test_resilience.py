@@ -25,6 +25,7 @@ from repro.errors import (
 )
 from repro.experiments import (
     ArtifactStore,
+    Lease,
     ModelSpec,
     Session,
     TrainingCheckpointer,
@@ -417,6 +418,41 @@ class TestLease:
                 with store.lease("model", DIGEST, ttl_s=30.0):
                     pass
         assert not os.path.exists(store.lease("model", DIGEST).path)
+
+    def test_racing_claimants_have_one_winner(self, tmp_path):
+        # a claimant that met a lease file still empty used to take it over
+        # as unreadable, so both racers held the lease
+        for round_index in range(50):
+            path = str(tmp_path / f"race-{round_index}.lease")
+            barrier = threading.Barrier(4)
+            winners = []
+
+            def claim():
+                lease = Lease(path, ttl_s=30.0)
+                barrier.wait(timeout=10)
+                if lease.acquire():
+                    winners.append(lease)
+
+            threads = [threading.Thread(target=claim) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert len(winners) == 1, round_index
+
+    def test_claims_leave_no_temporary_files(self, tmp_path):
+        path = str(tmp_path / "leases" / "key.lease")
+        crashed = Lease(path, ttl_s=0.01)
+        assert crashed.acquire()
+        time.sleep(0.02)
+        rival = Lease(path, ttl_s=30.0)
+        successor = Lease(path, ttl_s=30.0)
+        assert successor.acquire()  # take-over
+        assert not rival.acquire()  # live lease
+        assert successor.refresh()
+        assert os.listdir(str(tmp_path / "leases")) == ["key.lease"]
+        successor.release()
+        assert os.listdir(str(tmp_path / "leases")) == []
 
     def test_leases_are_invisible_to_entries(self, tmp_path):
         store = _fast_store(tmp_path)
