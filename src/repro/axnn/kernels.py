@@ -56,9 +56,11 @@ float64 BLAS instead:
 
 ``native``
     The compiled hot loop from :mod:`repro.axnn.native` (Numba njit or the
-    ctypes C extension, selected by ``REPRO_KERNEL_BACKEND``): operands
-    packed to 8 bits, the LUT to 16 or 32, accumulation in int64 with
-    cache blocking over output columns, GIL released for the whole call.
+    ctypes C extension, selected by ``REPRO_KERNEL_BACKEND``): uint8 codes
+    gather from a pre-signed ``(C, 2C + 1)`` LUT through a uint16 index
+    that folds each weight's sign into its magnitude, two code rows per
+    pass, accumulating in int32 flushed to int64 before it could overflow,
+    cache-blocked over output columns, GIL released for the whole call.
     Only constructible when a native backend resolved; ``auto`` prefers it
     over ``sparse`` for full-rank LUTs and ignores it otherwise (the
     low-rank BLAS decompositions already beat a scalar loop).
@@ -243,6 +245,9 @@ class MultiplierKernelProfile:
 
 _PROFILE_CACHE: Dict[tuple, MultiplierKernelProfile] = {}
 
+#: pre-signed native LUTs with their flush interval, see :func:`_presigned_lut`
+_PRESIGNED_LUT_CACHE: Dict[tuple, Tuple[np.ndarray, int]] = {}
+
 #: serialises first-touch profile analysis so concurrent kernel builds (the
 #: parallel runtime shards batches across threads) share one cached profile
 _PROFILE_LOCK = threading.Lock()
@@ -280,7 +285,8 @@ def multiplier_kernel_profile(multiplier: Multiplier) -> MultiplierKernelProfile
 
 
 def clear_profile_cache() -> None:
-    """Drop cached multiplier profiles and the resolved native backend.
+    """Drop cached multiplier profiles, pre-signed native LUTs and the
+    resolved native backend.
 
     Resetting the native backend too means a test (or a long-lived service
     reconfiguring itself) can flip ``REPRO_KERNEL_BACKEND`` and have both
@@ -289,6 +295,7 @@ def clear_profile_cache() -> None:
     from repro.axnn import native as _native
 
     _PROFILE_CACHE.clear()
+    _PRESIGNED_LUT_CACHE.clear()
     _native.reset_backend()
 
 
@@ -340,9 +347,12 @@ class MatmulKernel:
     def matmul(self, activation_codes: np.ndarray) -> np.ndarray:
         """Integer accumulator ``(M, K) @ (K, N) -> (M, N)`` (int64).
 
-        Every strategy returns a fresh, writable int64 array that shares no
-        memory with the codes, the bound weights or an earlier result, so
-        callers may finish the layer epilogue in place on it.
+        ``activation_codes`` may have any integer dtype; the Ax layers pass
+        the narrowest that holds their scheme's codes (uint8 for 8 bits),
+        and the result is the same for every dtype.  Every strategy returns
+        a fresh, writable int64 array that shares no memory with the codes,
+        the bound weights or an earlier result, so callers may finish the
+        layer epilogue in place on it.
         """
         raise NotImplementedError
 
@@ -352,7 +362,14 @@ class MatmulKernel:
 
     # ------------------------------------------------------------ internals
     def _check_codes(self, activation_codes: np.ndarray) -> np.ndarray:
-        codes = np.asarray(activation_codes, dtype=np.int64)
+        """The codes as a 2-D integer array, in their own dtype.
+
+        Integer codes are not widened (the layers hand in uint8): a kernel
+        that does arithmetic on the codes themselves widens them locally.
+        """
+        codes = np.asarray(activation_codes)
+        if codes.dtype.kind not in "iu":
+            codes = codes.astype(np.int64)
         if codes.ndim != 2:
             raise ShapeError("kernel matmul expects a 2-D activation-code matrix")
         if codes.shape[1] != self.inner:
@@ -651,7 +668,10 @@ class SparseOneHotKernel(MatmulKernel):
     def _onehot(self, codes: np.ndarray, n_code_blocks: int):
         """CSR one-hot of shape ``(M, n_code_blocks * K)`` — K ones per row."""
         m, k = codes.shape
-        columns = (codes * k + np.arange(k, dtype=np.int64)[None, :]).ravel()
+        # widen first: ``codes * k`` would wrap in the codes' narrow dtype
+        columns = (
+            codes.astype(np.int64) * k + np.arange(k, dtype=np.int64)[None, :]
+        ).ravel()
         indptr = np.arange(m + 1, dtype=np.int64) * k
         data = np.ones(m * k, dtype=self._dtype)
         return _scipy_sparse.csr_array(
@@ -699,15 +719,18 @@ class SparseOneHotKernel(MatmulKernel):
 class NativeLUTKernel(MatmulKernel):
     """Compiled LUT accumulation from :mod:`repro.axnn.native`.
 
-    Operands are packed once per layer at construction — activation codes
-    and weight magnitudes to uint8, signs to int8, and the LUT to int16
-    when every entry fits (int32 otherwise) — so the compiled loop touches
-    a half to a quarter of the memory the int64 formulations stream.  The
-    loop itself (see ``native/kernels.c``) is cache-blocked over output
-    columns and accumulates in int64, making the result exact by
-    construction; ctypes/Numba release the GIL for the whole call, so the
-    threaded batch-sharding runtime scales where the scipy.sparse path
-    serialised.
+    The weights are packed once per layer at construction: each sign is
+    folded into its magnitude as a uint16 column index (``mag``, ``C +
+    mag`` or the zero column ``2C``) into a pre-signed ``(C, 2C + 1)`` LUT
+    holding ``LUT``, ``-LUT`` and zeros, int16 when every entry fits and
+    int32 otherwise.  The loop itself (see ``native/kernels.c``) is one
+    gather and one add per product, two code rows per pass, cache-blocked
+    over output columns; it accumulates in int32 and flushes to int64 every
+    ``kc = (2**31 - 1) // max|LUT|`` k-steps, which makes the result exact
+    by construction.  uint8 codes reach the loop as they are (range-checked
+    only when their dtype could exceed the operand range); ctypes/Numba
+    release the GIL for the whole call, so the threaded batch-sharding
+    runtime scales where the scipy.sparse path serialised.
 
     Construction fails with :class:`ConfigurationError` when no native
     backend resolved (``REPRO_KERNEL_BACKEND=numpy``, or neither Numba nor
@@ -737,38 +760,74 @@ class NativeLUTKernel(MatmulKernel):
             raise ConfigurationError(
                 "the 'native' kernel expects sign values in {-1, 0, 1}"
             )
-        lut = multiplier.lut()
-        peak = int(np.abs(lut).max(initial=0))
-        if peak >= (1 << 31):
-            raise ConfigurationError(
-                "the 'native' kernel packs the LUT to at most 32 bits; "
-                f"{multiplier.name!r} has |entry| up to {peak}"
-            )
-        lut_dtype = np.int16 if peak < (1 << 15) else np.int32
         self._backend = backend
-        self._lut_packed = np.ascontiguousarray(lut, dtype=lut_dtype)
-        self._sign8 = np.ascontiguousarray(weight_sign, dtype=np.int8)
-        self._mag8 = np.ascontiguousarray(weight_magnitude, dtype=np.uint8)
+        self._lut_signed, self._kc = _presigned_lut(multiplier)
+        cols = self._lut_signed.shape[1] // 2
+        self._index = np.where(
+            weight_sign > 0,
+            weight_magnitude,
+            np.where(weight_sign < 0, cols + weight_magnitude, 2 * cols),
+        ).astype(np.uint16)
         self.codes_total = multiplier.operand_max + 1
 
     def describe(self) -> str:
-        bits = 8 * self._lut_packed.dtype.itemsize
+        bits = 8 * self._lut_signed.dtype.itemsize
         return f"native[{self._backend.name}, int{bits} lut]"
 
     def matmul(self, activation_codes: np.ndarray) -> np.ndarray:
         codes = self._check_codes(activation_codes)
-        if codes.size and (codes.min() < 0 or codes.max() >= self.codes_total):
+        limits = np.iinfo(codes.dtype)
+        dtype_fits = limits.min >= 0 and limits.max < self.codes_total
+        if not dtype_fits and codes.size and (
+            codes.min() < 0 or codes.max() >= self.codes_total
+        ):
             raise ConfigurationError(
                 f"activation codes outside the {self.multiplier.bit_width}-bit "
                 "operand range"
             )
-        out = np.zeros((codes.shape[0], self.outputs), dtype=np.int64)
-        if codes.shape[0] == 0 or self.inner == 0 or self.outputs == 0:
-            return out
-        codes_u8 = np.ascontiguousarray(codes, dtype=np.uint8)
-        self._backend.lut_matmul(codes_u8, self._sign8, self._mag8,
-                                 self._lut_packed, out)
+        codes = np.ascontiguousarray(codes, dtype=np.uint8)
+        # the compiled loop writes every output element
+        out = np.empty((codes.shape[0], self.outputs), dtype=np.int64)
+        if out.size:
+            self._backend.lut_matmul(
+                codes, self._index, self._lut_signed, self._kc, out
+            )
         return out
+
+
+def _presigned_lut(multiplier: Multiplier) -> Tuple[np.ndarray, int]:
+    """The native kernel's pre-signed LUT and its int32 flush interval.
+
+    The table is ``(C, 2C + 1)``: columns ``LUT``, ``-LUT``, then one zero
+    column, int16 when every entry fits and int32 otherwise.  ``kc =
+    (2**31 - 1) // max|LUT|`` products always fit an int32 partial sum.
+    Built once per multiplier LUT and shared read-only by every layer and
+    victim that uses it, like the LUT itself.
+    """
+    key = multiplier._lut_cache_key()
+    cached = _PRESIGNED_LUT_CACHE.get(key) if key is not None else None
+    if cached is not None:
+        return cached
+    lut = multiplier.lut().astype(np.int64)
+    peak = int(np.abs(lut).max(initial=0))
+    if peak >= (1 << 31):
+        raise ConfigurationError(
+            "the 'native' kernel packs the LUT to at most 32 bits; "
+            f"{multiplier.name!r} has |entry| up to {peak}"
+        )
+    cols = lut.shape[1]
+    signed = np.zeros(
+        (lut.shape[0], 2 * cols + 1),
+        dtype=np.int16 if peak < (1 << 15) else np.int32,
+    )
+    signed[:, :cols] = lut
+    signed[:, cols : 2 * cols] = -lut
+    signed.flags.writeable = False
+    entry = (signed, (2**31 - 1) // max(1, peak))
+    if key is not None:
+        with _PROFILE_LOCK:
+            entry = _PRESIGNED_LUT_CACHE.setdefault(key, entry)
+    return entry
 
 
 def _native_strategy_available(multiplier: Multiplier) -> bool:

@@ -29,6 +29,13 @@ from repro.nn.layers.dense import Dense
 from repro.quantization.schemes import AffineQuantization
 
 
+def _narrow_codes(scheme: AffineQuantization, x: np.ndarray) -> np.ndarray:
+    """``scheme.quantize(x)`` in the smallest unsigned dtype holding every
+    code ``0 .. scheme.qmax`` (uint8 for 8 bits, uint16 up to 16)."""
+    dtype = np.uint8 if scheme.qmax <= np.iinfo(np.uint8).max else np.uint16
+    return scheme.quantize(x).astype(dtype)
+
+
 class AxLayer:
     """Base class for inference-only AxDNN layers."""
 
@@ -106,19 +113,19 @@ class AxDense(_KernelLayer):
             self.weight_sign, self.weight_magnitude
         )
 
-    def quantize_input(self, x: np.ndarray) -> np.ndarray:
-        """Activation codes for ``x`` — shareable across panel victims whose
-        layers use the same quantization scheme."""
+    def input_codes(self, x: np.ndarray) -> np.ndarray:
+        """Narrow activation codes ``(B, K)`` for ``x`` — shareable across
+        panel victims whose layers use the same quantization scheme."""
         if x.ndim != 2:
             raise ShapeError(f"{self.name}: expected 2-D input, got {x.shape}")
-        return self.activation_scheme.quantize(x)
+        return _narrow_codes(self.activation_scheme, x)
 
     def forward_from_codes(self, codes: np.ndarray) -> np.ndarray:
         """Evaluate the layer from precomputed activation codes.
 
-        ``forward`` is exactly ``forward_from_codes(quantize_input(x))``;
-        the split lets :class:`repro.axnn.panel.VictimPanel` quantize once
-        and feed every victim's LUT product from the shared codes.
+        ``forward`` is exactly ``forward_from_codes(input_codes(x))``; the
+        split lets :class:`repro.axnn.panel.VictimPanel` quantize once and
+        feed every victim's LUT product from the shared codes.
         """
         y = self._dequantize_accumulator(codes)
         if self.bias is not None:
@@ -126,7 +133,7 @@ class AxDense(_KernelLayer):
         return y
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return self.forward_from_codes(self.quantize_input(x))
+        return self.forward_from_codes(self.input_codes(x))
 
 
 class AxConv2D(_KernelLayer):
@@ -161,43 +168,48 @@ class AxConv2D(_KernelLayer):
 
     @property
     def geometry(self) -> tuple:
-        """Patch-extraction geometry; victims with equal geometry can share
-        one im2col per batch (the expensive data movement of this layer)."""
+        """Patch-extraction geometry; victims with equal geometry and scheme
+        share one code-patch matrix per batch."""
         return (self.kernel_size, self.stride, self.pad_amount)
 
-    def extract_cols(self, x: np.ndarray) -> np.ndarray:
-        """The im2col patch matrix for ``x`` — a pure function of the input
-        and :attr:`geometry`, hence shareable across panel victims."""
+    def input_codes(self, x: np.ndarray) -> np.ndarray:
+        """The narrow code-patch matrix ``(B, OH, OW, K)`` for ``x``.
+
+        Quantizes the ``(B, H, W, C)`` input first, pads with the code
+        ``zero_point`` and only then extracts patches, so im2col copies one
+        or two bytes per element instead of eight.  Element for element this
+        is ``quantize(im2col_strided(x, ...))``: im2col only copies
+        elements, and ``quantize(0.0) == zero_point`` for the zero padding.
+        """
         if x.ndim != 4:
             raise ShapeError(f"{self.name}: expected NHWC input, got {x.shape}")
+        codes = _narrow_codes(self.activation_scheme, x)
+        pad = self.pad_amount
+        if pad:
+            batch, height, width, channels = codes.shape
+            padded = np.full(
+                (batch, height + 2 * pad, width + 2 * pad, channels),
+                self.activation_scheme.zero_point,
+                dtype=codes.dtype,
+            )
+            padded[:, pad:-pad, pad:-pad] = codes
+            codes = padded
         return im2col_strided(
-            x, self.kernel_size, self.kernel_size, self.stride, self.pad_amount
+            codes, self.kernel_size, self.kernel_size, self.stride, 0
         )
 
-    def quantize_cols(self, cols: np.ndarray) -> np.ndarray:
-        """Activation codes of a patch matrix — shareable across victims
-        whose layers use the same quantization scheme."""
-        patch = cols.shape[-1]
-        return self.activation_scheme.quantize(cols.reshape(-1, patch))
+    def forward_from_codes(self, codes: np.ndarray) -> np.ndarray:
+        """Evaluate the layer from a precomputed code-patch matrix.
 
-    def forward_from_codes(
-        self, codes: np.ndarray, batch: int, out_h: int, out_w: int
-    ) -> np.ndarray:
-        """Evaluate the layer from precomputed activation codes.
-
-        ``forward`` is exactly this applied to
-        ``quantize_cols(extract_cols(x))``; the decomposition is what the
-        fused multi-victim panel exploits.
+        ``forward`` is exactly ``forward_from_codes(input_codes(x))``; the
+        split is what the fused multi-victim panel exploits.
         """
-        y = self._dequantize_accumulator(codes)
+        batch, out_h, out_w, patch = codes.shape
+        y = self._dequantize_accumulator(codes.reshape(-1, patch))
         y = y.reshape(batch, out_h, out_w, self.filters)
         if self.bias is not None:
             y += self.bias
         return y
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        cols = self.extract_cols(x)
-        batch, out_h, out_w, _ = cols.shape
-        return self.forward_from_codes(
-            self.quantize_cols(cols), batch, out_h, out_w
-        )
+        return self.forward_from_codes(self.input_codes(x))

@@ -60,9 +60,13 @@ _ALIASES = {
 class NativeBackend:
     """A resolved compiled backend: a name plus the two kernel entry points.
 
-    ``lut_matmul(codes_u8, sign_i8, mag_u8, lut, out_i64)`` accumulates the
-    signed LUT product into ``out`` (all arrays C-contiguous, LUT int16 or
-    int32).  ``col2im_add(cols, out, kh, kw, stride, out_h, out_w)``
+    ``lut_matmul(codes_u8, index_u16, lut_signed, kc, out_i64)`` writes
+    the signed LUT product into every element of ``out`` (all arrays
+    C-contiguous).  ``lut_signed`` is the pre-signed ``(C, 2C + 1)`` table
+    (columns ``LUT``, ``-LUT``, then one zero column; int16 or int32) and
+    ``index`` folds each weight's sign into its magnitude as a column of it;
+    the loop accumulates in int32 and flushes to int64 every ``kc``
+    k-steps.  ``col2im_add(cols, out, kh, kw, stride, out_h, out_w)``
     scatter-adds an im2col patch matrix into the pre-zeroed padded image
     ``out``.  Both are bit-identical to their NumPy references.
     """
@@ -109,8 +113,8 @@ def _load_cext() -> NativeBackend:
     lib = cext.load_library()
     return NativeBackend(
         name="cext",
-        lut_matmul=lambda codes, sign, mag, lut, out: cext.lut_matmul(
-            lib, codes, sign, mag, lut, out
+        lut_matmul=lambda codes, index, lut, kc, out: cext.lut_matmul(
+            lib, codes, index, lut, kc, out
         ),
         col2im_add=lambda cols, out, kh, kw, stride, oh, ow: cext.col2im_add(
             lib, cols, out, kh, kw, stride, oh, ow

@@ -51,14 +51,6 @@ class NativeBuildError(RuntimeError):
     """The C kernel library could not be built or loaded on this host."""
 
 
-def _i8(flags="C_CONTIGUOUS"):
-    return ndpointer(dtype=np.int8, flags=flags)
-
-
-def _u8(flags="C_CONTIGUOUS"):
-    return ndpointer(dtype=np.uint8, flags=flags)
-
-
 def cache_dir() -> str:
     """Directory holding compiled kernel libraries."""
     override = os.environ.get(CACHE_ENV_VAR)
@@ -138,11 +130,10 @@ def load_library(path: Optional[str] = None) -> ctypes.CDLL:
         fn = getattr(lib, f"repro_lut_matmul_{suffix}")
         fn.restype = None
         fn.argtypes = [
-            _u8(),  # codes (M, K)
-            _i8(),  # sign (K, N)
-            _u8(),  # mag (K, N)
-            ndpointer(dtype=lut_dtype, flags="C_CONTIGUOUS"),  # lut (C, C)
-            i64, i64, i64, i64,  # m, k, n, lut_cols
+            ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS"),  # codes (M, K)
+            ndpointer(dtype=np.uint16, flags="C_CONTIGUOUS"),  # index (K, N)
+            ndpointer(dtype=lut_dtype, flags="C_CONTIGUOUS"),  # lut (C, 2C+1)
+            i64, i64, i64, i64, i64,  # m, k, n, lut_cols, kc
             ndpointer(dtype=np.int64, flags="C_CONTIGUOUS,WRITEABLE"),  # out
         ]
     col2im = lib.repro_col2im_f64
@@ -157,7 +148,7 @@ def load_library(path: Optional[str] = None) -> ctypes.CDLL:
     return lib
 
 
-def lut_matmul(lib: ctypes.CDLL, codes, sign, mag, lut, out) -> None:
+def lut_matmul(lib: ctypes.CDLL, codes, index, lut, kc, out) -> None:
     """Dispatch the LUT matmul to the i16 or i32 entry point by LUT dtype."""
     m, k = codes.shape
     n = out.shape[1]
@@ -165,7 +156,7 @@ def lut_matmul(lib: ctypes.CDLL, codes, sign, mag, lut, out) -> None:
         fn = lib.repro_lut_matmul_i16
     else:
         fn = lib.repro_lut_matmul_i32
-    fn(codes, sign, mag, lut, m, k, n, lut.shape[1], out)
+    fn(codes, index, lut, m, k, n, lut.shape[1], kc, out)
 
 
 def col2im_add(lib: ctypes.CDLL, cols, out, kernel_h, kernel_w, stride,

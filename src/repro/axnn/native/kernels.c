@@ -13,44 +13,68 @@
 
 #include <stdint.h>
 
-/* Column-block width of the LUT matmul: the sign/magnitude blocks
- * (K * NB bytes each) and the int64 accumulator row stay cache-resident
- * while the code row streams once per output row. */
+/* Column-block width of the LUT matmul: the index block (K * NB uint16s)
+ * and two int32 accumulator rows stay cache-resident while the code rows
+ * stream once per pair of output rows. */
 #define LUT_MATMUL_NB 128
 
-/* result[m, n] = sum_k sign[k, n] * lut[codes[m, k] * lut_cols + mag[k, n]]
+/* One pass of the LUT matmul over ROWS (1 or 2) code rows and one column
+ * block: the int32 accumulators take at most kc k-steps before they are
+ * flushed into the int64 output rows, and the rows share every index load. */
+#define LUT_MATMUL_ROWS(LUT_T, ROWS)                                          \
+    do {                                                                      \
+        const uint8_t *code_row0 = codes + m * k_dim;                         \
+        const uint8_t *code_row1 = code_row0 + (ROWS - 1) * k_dim;            \
+        int64_t *out_row0 = out + m * n_dim + n0;                             \
+        int64_t *out_row1 = out_row0 + (ROWS - 1) * n_dim;                    \
+        for (int64_t j = 0; j < nb; j++) out_row0[j] = out_row1[j] = 0;       \
+        for (int64_t k0 = 0; k0 < k_dim; k0 += kc) {                          \
+            int64_t k1 = k_dim - k0 > kc ? k0 + kc : k_dim;                   \
+            int32_t acc0[LUT_MATMUL_NB], acc1[LUT_MATMUL_NB];                 \
+            for (int64_t j = 0; j < nb; j++) acc0[j] = acc1[j] = 0;           \
+            for (int64_t k = k0; k < k1; k++) {                               \
+                const LUT_T *lut_row0 = lut + (int64_t)code_row0[k] * lut_cols; \
+                const LUT_T *lut_row1 = lut + (int64_t)code_row1[k] * lut_cols; \
+                const uint16_t *index_row = index + k * n_dim + n0;           \
+                for (int64_t j = 0; j < nb; j++) {                            \
+                    const uint16_t column = index_row[j];                     \
+                    acc0[j] += lut_row0[column];                              \
+                    if (ROWS == 2) acc1[j] += lut_row1[column];               \
+                }                                                             \
+            }                                                                 \
+            for (int64_t j = 0; j < nb; j++) out_row0[j] += acc0[j];          \
+            if (ROWS == 2)                                                    \
+                for (int64_t j = 0; j < nb; j++) out_row1[j] += acc1[j];      \
+        }                                                                     \
+    } while (0)
+
+/* result[m, n] = sum_k lut[codes[m, k] * lut_cols + index[k, n]]
  *
- * All arithmetic is int64 accumulation of exact integer products, so the
- * result is bit-identical to the gather reference regardless of summation
- * order.  Operands are packed to 8 bits (codes/mag unsigned, sign in
- * {-1, 0, 1}) and the LUT to 16 or 32 bits by the caller — the "int8/int16
- * accumulation" tier: half to a quarter of the reference path's memory
- * traffic, cache-blocked over output columns.
+ * The caller folds each weight's sign into its magnitude once per layer:
+ * index[k, n] is mag for sign +1, C + mag for sign -1 and 2C (a zero
+ * column) for sign 0, into a pre-signed LUT (rows, 2C + 1) whose columns
+ * are LUT, -LUT and 0, where C is the unsigned LUT's column count.  So the
+ * inner loop is one gather and one add, with no sign multiply.
+ *
+ * Accumulation is int32, flushed into int64 at least every kc k-steps,
+ * where the caller picks kc = (2**31 - 1) // max|LUT|: no int32 partial sum
+ * can overflow, and the result is exact — bit-identical to the gather
+ * reference regardless of summation order.  Rows are processed in pairs
+ * (an odd last row alone) so both share each index load; codes are uint8,
+ * the LUT int16 or int32.
  */
 #define DEFINE_LUT_MATMUL(SUFFIX, LUT_T)                                      \
 void repro_lut_matmul_##SUFFIX(                                               \
-    const uint8_t *codes, const int8_t *sign, const uint8_t *mag,             \
-    const LUT_T *lut, int64_t m_dim, int64_t k_dim, int64_t n_dim,            \
-    int64_t lut_cols, int64_t *out)                                           \
+    const uint8_t *codes, const uint16_t *index, const LUT_T *lut,            \
+    int64_t m_dim, int64_t k_dim, int64_t n_dim, int64_t lut_cols,            \
+    int64_t kc, int64_t *out)                                                 \
 {                                                                             \
     for (int64_t n0 = 0; n0 < n_dim; n0 += LUT_MATMUL_NB) {                   \
         int64_t nb = n_dim - n0;                                              \
         if (nb > LUT_MATMUL_NB) nb = LUT_MATMUL_NB;                           \
-        for (int64_t m = 0; m < m_dim; m++) {                                 \
-            int64_t acc[LUT_MATMUL_NB];                                       \
-            for (int64_t j = 0; j < nb; j++) acc[j] = 0;                      \
-            const uint8_t *code_row = codes + m * k_dim;                      \
-            for (int64_t k = 0; k < k_dim; k++) {                             \
-                const LUT_T *lut_row = lut + (int64_t)code_row[k] * lut_cols; \
-                const int8_t *sign_row = sign + k * n_dim + n0;               \
-                const uint8_t *mag_row = mag + k * n_dim + n0;                \
-                for (int64_t j = 0; j < nb; j++)                              \
-                    acc[j] += (int64_t)sign_row[j]                            \
-                            * (int64_t)lut_row[mag_row[j]];                   \
-            }                                                                 \
-            int64_t *out_row = out + m * n_dim + n0;                          \
-            for (int64_t j = 0; j < nb; j++) out_row[j] = acc[j];             \
-        }                                                                     \
+        int64_t m = 0;                                                        \
+        for (; m + 1 < m_dim; m += 2) LUT_MATMUL_ROWS(LUT_T, 2);              \
+        if (m < m_dim) LUT_MATMUL_ROWS(LUT_T, 1);                             \
     }                                                                         \
 }
 

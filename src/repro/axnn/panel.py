@@ -1,10 +1,10 @@
-"""Fused multi-victim evaluation: one shared im2col feeding every victim.
+"""Fused multi-victim evaluation: one shared code matrix feeding every victim.
 
 The paper's robustness figures (Fig. 4-8) evaluate ~9 victim AxDNNs on
 *identical* adversarial inputs.  Run naively, every victim pays the full
-patch extraction (im2col) and activation quantization of every layer, even
+activation quantization and patch extraction (im2col) of every layer, even
 though those stages are pure functions of the layer input and the layer
-geometry/scheme — which the victims share wherever their activations have
+scheme/geometry — which the victims share wherever their activations have
 not yet diverged.
 
 :class:`VictimPanel` walks all victims through the network in lockstep and
@@ -14,17 +14,20 @@ is provably identical:
 * every victim starts in one group (they all see the same input batch);
 * a float passthrough layer wrapping the same underlying layer object
   keeps its group intact and is evaluated once per group;
-* an Ax compute layer extracts patches **once per group** (conv), quantizes
-  **once per distinct activation scheme**, and evaluates the LUT product
-  once per distinct ``(multiplier, weights, scheme)`` — which is where the
-  victims finally diverge, each continuing in its own (sub)group.
+* an Ax compute layer builds its activation codes **once per distinct
+  activation scheme** — quantize the layer input to narrow (uint8 for
+  8-bit) codes, then, for a conv, pad with the zero-point code and extract
+  patches from the codes, so im2col moves bytes rather than float64s — and
+  evaluates the LUT product once per distinct ``(multiplier, weights,
+  scheme)``, which is where the victims finally diverge, each continuing in
+  its own (sub)group.
 
 Because the partition refines purely on static layer structure, the whole
 plan is computed once at construction; per batch only the fused compute
 runs.  Every shared stage computes exactly the value the per-victim path
-would (``extract_cols`` / ``quantize_cols`` / ``forward_from_codes`` are
-the same functions ``AxLayer.forward`` composes), so panel outputs are
-bit-identical to evaluating each victim independently — the property
+would (``input_codes`` / ``forward_from_codes`` are the same functions
+``AxLayer.forward`` composes), so panel outputs are bit-identical to
+evaluating each victim independently — the property
 ``tests/test_victim_panel.py`` asserts against every robustness grid.
 """
 
@@ -124,10 +127,10 @@ class VictimPanel:
         * ``("shared", group, None)`` — one float passthrough forward for
           the whole group;
         * ``("conv", group, scheme_splits)`` / ``("dense", group,
-          scheme_splits)`` — one patch extraction per group, one
-          quantization per scheme subgroup, one LUT product per compute
-          subgroup; ``scheme_splits`` is a list of ``(scheme_subgroup,
-          [compute_subgroups...])``;
+          scheme_splits)`` — one code matrix (quantize, then for a conv
+          patch extraction) per scheme subgroup, one LUT product per
+          compute subgroup; ``scheme_splits`` is a list of
+          ``(scheme_subgroup, [compute_subgroups...])``;
         * ``("solo", (v,), None)`` — plain per-victim forward.
         """
         models = self._models
@@ -189,34 +192,21 @@ class VictimPanel:
             tuple(range(len(models))): x
         }
         for layer_index, steps in enumerate(self._plan):
+            layers = [model.layers[layer_index] for model in models]
             next_activations: Dict[_Group, np.ndarray] = {}
             for mode, group, extra in steps:
                 value = activations[group]
-                layer = models[group[0]].layers[layer_index]
                 if mode == "shared" or mode == "solo":
-                    next_activations[group] = layer.forward(value)
-                elif mode == "conv":
-                    cols = layer.extract_cols(value)
-                    batch, out_h, out_w, _ = cols.shape
-                    for scheme_group, compute_groups in extra:
-                        codes = models[scheme_group[0]].layers[
-                            layer_index
-                        ].quantize_cols(cols)
-                        for compute_group in compute_groups:
-                            rep = models[compute_group[0]].layers[layer_index]
-                            next_activations[compute_group] = (
-                                rep.forward_from_codes(codes, batch, out_h, out_w)
-                            )
-                else:  # dense
-                    for scheme_group, compute_groups in extra:
-                        codes = models[scheme_group[0]].layers[
-                            layer_index
-                        ].quantize_input(value)
-                        for compute_group in compute_groups:
-                            rep = models[compute_group[0]].layers[layer_index]
-                            next_activations[compute_group] = (
-                                rep.forward_from_codes(codes)
-                            )
+                    next_activations[group] = layers[group[0]].forward(value)
+                    continue
+                # conv / dense: codes once per scheme subgroup, then one
+                # product per compute subgroup
+                for scheme_group, compute_groups in extra:
+                    codes = layers[scheme_group[0]].input_codes(value)
+                    for compute_group in compute_groups:
+                        next_activations[compute_group] = layers[
+                            compute_group[0]
+                        ].forward_from_codes(codes)
             activations = next_activations
         by_victim: Dict[str, np.ndarray] = {}
         for group, value in activations.items():
@@ -270,7 +260,7 @@ class VictimPanel:
                 else:
                     quantizations = len(extra)
                     products = sum(len(cg) for _, cg in extra)
-                    stages = "1 extract, " if mode == "conv" else ""
+                    stages = f"{quantizations} extract, " if mode == "conv" else ""
                     parts.append(
                         f"{mode}[{len(group)} victims, {stages}"
                         f"{quantizations} quantize, {products} products]"

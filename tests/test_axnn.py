@@ -19,6 +19,7 @@ from repro.errors import ConfigurationError, ShapeError
 from repro.multipliers import get_multiplier
 from repro.multipliers.behavioral import ExactMultiplier, OperandTruncationMultiplier
 from repro.nn import Conv2D, Dense, Flatten, ReLU, Sequential
+from repro.nn.functional import im2col_strided
 from repro.quantization.schemes import AffineQuantization
 
 RNG = np.random.default_rng(0)
@@ -143,6 +144,47 @@ class TestAxLayers:
         wrapped = PassthroughLayer(relu)
         x = RNG.normal(size=(3, 4))
         assert np.array_equal(wrapped.forward(x), np.maximum(x, 0.0))
+
+
+class TestInputCodes:
+    """The layers quantize before extracting patches and keep the codes in
+    the narrowest dtype holding the scheme's range."""
+
+    @pytest.mark.parametrize(
+        "kernel_size, padding", [(3, "valid"), (3, "same"), (5, "same")]
+    )
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("bits, dtype", [(8, np.uint8), (10, np.uint16)])
+    def test_conv_codes_are_quantized_float_patches(
+        self, kernel_size, padding, stride, bits, dtype
+    ):
+        # pad 0 / 1 / 2; inputs straddle zero, so zero_point > 0 and a
+        # zero-padded border must come out as the zero-point code
+        conv = Conv2D(4, kernel_size=kernel_size, stride=stride, padding=padding)
+        conv.build((9, 9, 3), np.random.default_rng(1))
+        qmax = (1 << bits) - 1
+        scheme = AffineQuantization(scale=3.0 / qmax, zero_point=qmax // 3, bits=bits)
+        ax = AxConv2D(conv, ExactMultiplier(), scheme)
+        x = np.random.default_rng(2).normal(size=(2, 9, 9, 3))
+        codes = ax.input_codes(x)
+        expected = scheme.quantize(
+            im2col_strided(x, kernel_size, kernel_size, stride, conv.pad_amount)
+        )
+        assert codes.dtype == dtype
+        assert codes.shape == expected.shape
+        assert np.array_equal(codes, expected)
+
+    @pytest.mark.parametrize("bits, dtype", [(8, np.uint8), (12, np.uint16)])
+    def test_dense_codes_are_narrow(self, bits, dtype):
+        layer = Dense(4)
+        layer.build((6,), np.random.default_rng(0))
+        qmax = (1 << bits) - 1
+        scheme = AffineQuantization(scale=2.0 / qmax, zero_point=qmax // 2, bits=bits)
+        ax = AxDense(layer, ExactMultiplier(), scheme)
+        x = RNG.normal(size=(5, 6))
+        codes = ax.input_codes(x)
+        assert codes.dtype == dtype
+        assert np.array_equal(codes, scheme.quantize(x))
 
 
 class TestEngine:

@@ -339,6 +339,47 @@ class TestKernelResultsAreFresh:
         assert np.array_equal(second, expected)
 
 
+def _narrow_code_cases():
+    """Every strategy on an exact (M1), a low-rank (M3) and a full-rank (M6)
+    LUT; ``exact`` only takes the bit-exact M1."""
+    return [
+        (strategy, label)
+        for strategy in KERNEL_STRATEGIES
+        for label in ("M1", "M3", "M6")
+        if strategy != "exact" or label == "M1"
+    ]
+
+
+class TestNarrowCodes:
+    """The Ax layers hand kernels uint8 (or uint16) codes as they are; any
+    integer dtype holding the same codes must give the same int64 result."""
+
+    @pytest.mark.parametrize("strategy, label", _narrow_code_cases())
+    @pytest.mark.parametrize("m, strided", [(0, False), (11, False), (11, True)])
+    def test_code_dtypes_agree(self, strategy, label, m, strided):
+        if strategy == "native":
+            from repro.axnn.native import get_backend
+
+            if get_backend() is None:
+                pytest.skip("no native backend on this host")
+        multiplier = get_multiplier(label)
+        wide, sign, mag = random_problem(np.random.default_rng(53), m=m, k=58, n=6)
+        # K = 29: a code times K wraps in uint8, so a kernel that does
+        # arithmetic on the codes without widening them fails here
+        sign, mag = sign[::2], mag[::2]
+        kernel = make_kernel(multiplier, sign, mag, strategy)
+        reference = GatherKernel(multiplier, sign, mag).matmul(
+            np.ascontiguousarray(wide[:, ::2])
+        )
+        for dtype in (np.uint8, np.uint16, np.int64):
+            codes = wide.astype(dtype)[:, ::2]
+            if not strided:
+                codes = np.ascontiguousarray(codes)
+            result = kernel.matmul(codes)
+            assert result.dtype == np.int64
+            assert np.array_equal(result, reference), dtype
+
+
 class TestIntegerLowRankFactors:
     def test_zero_table_has_rank_zero(self):
         factors = integer_low_rank_factors(np.zeros((8, 8), dtype=np.int64))

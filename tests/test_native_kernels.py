@@ -146,6 +146,68 @@ class TestNativeLUTMatmul:
         assert normalize_strategy("compiled") == "native"
 
 
+class TestNativeEdgeCases:
+    """The pre-signed int32-accumulating loop at the edges of its layout:
+    flush interval, two-row tail, column blocks, sign 0, narrow codes."""
+
+    @pytest.mark.parametrize("peak, kc", [((1 << 31) - 1, 1), ((1 << 30) - 1, 2)])
+    def test_flushes_before_int32_overflow(self, peak, kc):
+        # every product near +peak and every sign +1: a sum of more than kc
+        # products overflows int32, so only the flush keeps it exact
+        rng = np.random.default_rng(13)
+        codes = rng.integers(0, 256, (5, 37))
+        table = rng.integers(peak - 1000, peak + 1, (256, 256))
+        table[:, 0] = -peak
+        sign = np.ones((37, 9), dtype=np.int64)
+        mag = rng.integers(1, 256, (37, 9))
+        kernel = make_kernel(LUTMultiplier("native-peak", table), sign, mag, "native")
+        assert kernel._kc == kc
+        result = kernel.matmul(codes)
+        assert np.abs(result).max() >= 1 << 31
+        assert np.array_equal(result, reference_matmul(codes, sign, mag, table))
+
+    @pytest.mark.parametrize("m", [1, 3, 7])
+    @pytest.mark.parametrize("n", [5, 128, 300])
+    def test_odd_rows_and_wide_outputs(self, m, n):
+        # odd M ends in the one-row tail of the two-row loop; N > 128
+        # spans several column blocks, the last one short
+        codes, sign, mag, table = lut_problem(RNG, m, 23, n, 70_000)
+        kernel = make_kernel(LUTMultiplier("native-tail", table), sign, mag, "native")
+        assert np.array_equal(
+            kernel.matmul(codes), reference_matmul(codes, sign, mag, table)
+        )
+
+    def test_sign_zero_contributes_nothing(self):
+        # no LUT entry is zero, so a sign-0 weight may only read the zero
+        # column of the pre-signed LUT
+        rng = np.random.default_rng(17)
+        codes = rng.integers(0, 256, (6, 31))
+        table = rng.integers(1, 5_000, (256, 256))
+        sign = rng.integers(-1, 2, (31, 12))
+        sign[:, :4] = 0
+        mag = rng.integers(0, 256, (31, 12))
+        kernel = make_kernel(LUTMultiplier("native-sign0", table), sign, mag, "native")
+        result = kernel.matmul(codes)
+        assert np.array_equal(result, reference_matmul(codes, sign, mag, table))
+        assert not result[:, :4].any()
+
+    def test_uint8_codes_are_range_checked_below_8_bits(self):
+        # a 4-bit multiplier takes codes 0..15: uint8 codes can exceed that,
+        # so they must be checked rather than passed straight to the loop
+        rng = np.random.default_rng(19)
+        table = rng.integers(-500, 500, (16, 16))
+        sign = rng.integers(-1, 2, (10, 7))
+        mag = rng.integers(0, 16, (10, 7))
+        kernel = make_kernel(LUTMultiplier("native-4bit", table), sign, mag, "native")
+        codes = rng.integers(0, 16, (4, 10)).astype(np.uint8)
+        assert np.array_equal(
+            kernel.matmul(codes), reference_matmul(codes, sign, mag, table)
+        )
+        codes[2, 3] = 16
+        with pytest.raises(ConfigurationError):
+            kernel.matmul(codes)
+
+
 class TestNativeCol2Im:
     @given(
         batch=st.integers(0, 4),
