@@ -5,8 +5,8 @@ activation x weight product is evaluated through an approximate-multiplier
 look-up table.  The LUT matmul itself runs through a pluggable kernel engine
 (:mod:`repro.axnn.kernels`) with bit-identical gather / per-code BLAS /
 error-correction / sparse one-hot / native compiled strategies (the latter
-backed by :mod:`repro.axnn.native` — Numba or a tiny C extension, selected
-via ``REPRO_KERNEL_BACKEND``), and batched prediction shards across worker
+backed by :mod:`repro.axnn.native` — a tiny C extension, switched off by
+``REPRO_KERNEL_BACKEND=numpy``), and batched prediction shards across worker
 threads via the parallel runtime (:mod:`repro.nn.runtime`, re-exported
 here).  :class:`repro.axnn.panel.VictimPanel` evaluates many victims of one
 source model in a single fused pass, sharing im2col and quantization.

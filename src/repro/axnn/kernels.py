@@ -55,8 +55,8 @@ float64 BLAS instead:
     multipliers (the quantized accurate DNN).
 
 ``native``
-    The compiled hot loop from :mod:`repro.axnn.native` (Numba njit or the
-    ctypes C extension, selected by ``REPRO_KERNEL_BACKEND``): uint8 codes
+    The compiled hot loop from :mod:`repro.axnn.native` (a ctypes C
+    extension, switched off by ``REPRO_KERNEL_BACKEND=numpy``): uint8 codes
     gather from a pre-signed ``(C, 2C + 1)`` LUT through a uint16 index
     that folds each weight's sign into its magnitude, two code rows per
     pass, accumulating in int32 flushed to int64 before it could overflow,
@@ -728,15 +728,15 @@ class NativeLUTKernel(MatmulKernel):
     over output columns; it accumulates in int32 and flushes to int64 every
     ``kc = (2**31 - 1) // max|LUT|`` k-steps, which makes the result exact
     by construction.  uint8 codes reach the loop as they are (range-checked
-    only when their dtype could exceed the operand range); ctypes/Numba
-    release the GIL for the whole call, so the threaded batch-sharding
-    runtime scales where the scipy.sparse path serialised.
+    only when their dtype could exceed the operand range); ctypes releases
+    the GIL for the whole call, so the threaded batch-sharding runtime
+    scales where the scipy.sparse path serialised.
 
     Construction fails with :class:`ConfigurationError` when no native
-    backend resolved (``REPRO_KERNEL_BACKEND=numpy``, or neither Numba nor
-    a C compiler is available) or when the multiplier does not fit the
-    packed layout; ``"auto"`` only selects this strategy when it is
-    constructible.
+    backend resolved (``REPRO_KERNEL_BACKEND=numpy``, or no C compiler is
+    available) or when the multiplier does not fit the packed layout (see
+    :func:`_native_lut_peak`); ``"auto"`` only selects this strategy when
+    it is constructible.
     """
 
     strategy = "native"
@@ -748,13 +748,8 @@ class NativeLUTKernel(MatmulKernel):
         backend = _native.get_backend()
         if backend is None:
             raise ConfigurationError(
-                "the 'native' kernel requires a compiled backend; set "
-                f"{_native.BACKEND_ENV_VAR} and install Numba or a C compiler"
-            )
-        if multiplier.operand_max > 255:
-            raise ConfigurationError(
-                "the 'native' kernel packs operands to 8 bits; "
-                f"{multiplier.name!r} has operand_max={multiplier.operand_max}"
+                "the 'native' kernel requires the compiled backend: a C "
+                f"compiler, and {_native.BACKEND_ENV_VAR} unset or 'auto'"
             )
         if weight_sign.size and int(np.abs(weight_sign).max()) > 1:
             raise ConfigurationError(
@@ -808,13 +803,8 @@ def _presigned_lut(multiplier: Multiplier) -> Tuple[np.ndarray, int]:
     cached = _PRESIGNED_LUT_CACHE.get(key) if key is not None else None
     if cached is not None:
         return cached
-    lut = multiplier.lut().astype(np.int64)
-    peak = int(np.abs(lut).max(initial=0))
-    if peak >= (1 << 31):
-        raise ConfigurationError(
-            "the 'native' kernel packs the LUT to at most 32 bits; "
-            f"{multiplier.name!r} has |entry| up to {peak}"
-        )
+    peak = _native_lut_peak(multiplier)
+    lut = multiplier.lut()
     cols = lut.shape[1]
     signed = np.zeros(
         (lut.shape[0], 2 * cols + 1),
@@ -830,15 +820,40 @@ def _presigned_lut(multiplier: Multiplier) -> Tuple[np.ndarray, int]:
     return entry
 
 
+def _native_lut_peak(multiplier: Multiplier) -> int:
+    """``max|LUT|`` of a multiplier that fits the native packed layout.
+
+    The one eligibility rule of the native kernel, shared by its
+    construction and by ``"auto"`` selection: operands must pack to uint8
+    codes and every LUT entry must fit an int32.  Raises
+    :class:`ConfigurationError` naming the limit a multiplier exceeds.
+    """
+    if multiplier.operand_max > 255:
+        raise ConfigurationError(
+            "the 'native' kernel packs operands to 8 bits; "
+            f"{multiplier.name!r} has operand_max={multiplier.operand_max}"
+        )
+    lut = multiplier.lut()
+    peak = max(int(lut.max(initial=0)), -int(lut.min(initial=0)))
+    if peak >= (1 << 31):
+        raise ConfigurationError(
+            "the 'native' kernel packs the LUT to at most 32 bits; "
+            f"{multiplier.name!r} has |entry| up to {peak}"
+        )
+    return peak
+
+
 def _native_strategy_available(multiplier: Multiplier) -> bool:
     """Whether ``"auto"`` may route ``multiplier`` to the native kernel."""
     from repro.axnn import native as _native
 
     if _native.get_backend() is None:
         return False
-    if multiplier.operand_max > 255:
+    try:
+        _native_lut_peak(multiplier)
+    except ConfigurationError:
         return False
-    return int(np.abs(multiplier.lut()).max(initial=0)) < (1 << 31)
+    return True
 
 
 _KERNEL_CLASSES = {

@@ -1,18 +1,14 @@
 """Optional compiled backend for the three remaining hot loops.
 
 The approximate-DNN reproduction keeps pure NumPy as its always-available
-reference implementation; this package layers a *native* tier on top:
-
-* ``numba_backend`` — njit kernels, used when Numba is importable;
-* ``cext`` — a tiny C extension compiled on first use with the host's C
-  compiler and called through ctypes (GIL released for the whole call).
+reference implementation; this package layers a *native* tier on top: a
+tiny C extension (:mod:`repro.axnn.native.cext`) compiled on first use with
+the host's C compiler and called through ctypes (GIL released for the whole
+call).
 
 Backend choice is governed by ``REPRO_KERNEL_BACKEND``:
 
-* ``auto`` (default) — Numba if importable, else the C extension if a
-  compiler is available, else pure NumPy;
-* ``numba`` — require Numba; warn and fall back to NumPy when absent;
-* ``cext`` — require the C extension; warn and fall back when unbuildable;
+* ``auto`` (default) — the C extension when it builds, else pure NumPy;
 * ``numpy`` — force the reference implementations (native tier disabled).
 
 Resolution happens once, on first use, behind a lock (the double-checked
@@ -24,36 +20,24 @@ environment variable and re-resolve.
 
 This module must stay importable from :mod:`repro.nn.functional` without
 creating a cycle, so it imports nothing from the :mod:`repro.axnn`
-namespace — only stdlib, NumPy, and :mod:`repro.errors`.
+namespace — only stdlib, NumPy, :mod:`repro.config` and :mod:`repro.errors`.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from repro.config import env_str
 from repro.errors import ConfigurationError
 
 #: environment variable selecting the kernel backend
 BACKEND_ENV_VAR = "REPRO_KERNEL_BACKEND"
 
-#: recognised values for the env var (aliases normalised first)
-BACKEND_CHOICES = ("auto", "numba", "cext", "numpy")
-
-_ALIASES = {
-    "": "auto",
-    "default": "auto",
-    "jit": "numba",
-    "c": "cext",
-    "ctypes": "cext",
-    "native": "auto",
-    "reference": "numpy",
-    "none": "numpy",
-    "off": "numpy",
-}
+#: recognised values for the env var
+BACKEND_CHOICES = ("auto", "numpy")
 
 
 @dataclass(frozen=True)
@@ -82,35 +66,23 @@ _BACKEND: Optional[NativeBackend] = None
 
 
 def requested_backend() -> str:
-    """The backend named by ``REPRO_KERNEL_BACKEND``, normalised.
+    """The backend named by ``REPRO_KERNEL_BACKEND`` (unset or empty: ``auto``).
 
     Raises :class:`ConfigurationError` for unrecognised values — a typo in
     the env var should fail loudly, not silently run the slow path.
     """
-    raw = os.environ.get(BACKEND_ENV_VAR, "auto").strip().lower()
-    choice = _ALIASES.get(raw, raw)
-    if choice not in BACKEND_CHOICES:
-        raise ConfigurationError(
-            f"{BACKEND_ENV_VAR}={raw!r} is not a valid kernel backend; "
-            f"expected one of {', '.join(BACKEND_CHOICES)}"
-        )
-    return choice
+    return env_str(BACKEND_ENV_VAR, "auto", choices=BACKEND_CHOICES)
 
 
-def _load_numba() -> NativeBackend:
-    from repro.axnn.native import numba_backend
-
-    return NativeBackend(
-        name="numba",
-        lut_matmul=numba_backend.lut_matmul,
-        col2im_add=numba_backend.col2im_add,
-    )
-
-
-def _load_cext() -> NativeBackend:
+def _resolve() -> Optional[NativeBackend]:
+    if requested_backend() == "numpy":
+        return None
     from repro.axnn.native import cext
 
-    lib = cext.load_library()
+    try:
+        lib = cext.load_library()
+    except cext.NativeBuildError:
+        return None
     return NativeBackend(
         name="cext",
         lut_matmul=lambda codes, index, lut, kc, out: cext.lut_matmul(
@@ -120,39 +92,6 @@ def _load_cext() -> NativeBackend:
             lib, cols, out, kh, kw, stride, oh, ow
         ),
     )
-
-
-def _resolve() -> Optional[NativeBackend]:
-    choice = requested_backend()
-    if choice == "numpy":
-        return None
-    if choice in ("auto", "numba"):
-        try:
-            return _load_numba()
-        except ImportError:
-            if choice == "numba":
-                warnings.warn(
-                    f"{BACKEND_ENV_VAR}=numba but Numba is not importable; "
-                    "falling back to the pure-NumPy reference kernels",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                return None
-    # choice is "cext", or "auto" with Numba unavailable
-    from repro.axnn.native.cext import NativeBuildError
-
-    try:
-        return _load_cext()
-    except NativeBuildError as exc:
-        if choice == "cext":
-            warnings.warn(
-                f"{BACKEND_ENV_VAR}=cext but the C extension is "
-                f"unavailable ({exc}); falling back to the pure-NumPy "
-                "reference kernels",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        return None
 
 
 def get_backend() -> Optional[NativeBackend]:
@@ -180,7 +119,7 @@ def reset_backend() -> None:
 
 
 def backend_name() -> str:
-    """Resolved backend name: ``numba``, ``cext`` or ``numpy``."""
+    """Resolved backend name: ``cext`` or ``numpy``."""
     backend = get_backend()
     return backend.name if backend is not None else "numpy"
 
@@ -188,24 +127,16 @@ def backend_name() -> str:
 def native_fingerprint() -> dict:
     """Backend facts for :func:`repro.benchmarking.report.env_fingerprint`.
 
-    Records both the request (env var) and the resolution, plus the Numba
-    version when present, so recorded baselines can never silently mix
-    kernel backends.
+    Records both the request (env var) and the resolution, so recorded
+    baselines can never silently mix kernel backends.
     """
     try:
         resolved = backend_name()
     except ConfigurationError:
         resolved = "invalid"
-    try:
-        import numba  # type: ignore
-
-        numba_version = numba.__version__
-    except ImportError:
-        numba_version = "absent"
     return {
         "kernel_backend": resolved,
         "kernel_backend_env": os.environ.get(BACKEND_ENV_VAR, "auto"),
-        "numba": numba_version,
     }
 
 

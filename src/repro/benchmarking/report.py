@@ -129,9 +129,9 @@ def env_fingerprint(extra: Optional[dict] = None) -> dict:
     ``cores`` is the load-bearing field: the compare engine refuses to gate
     wall-clock metrics across differing core counts and applies the
     ``min_cores`` convention with it.  The kernel-backend fields
-    (``kernel_backend`` / ``kernel_backend_env`` / ``numba``) record which
-    compiled tier produced the numbers, so baseline comparisons never
-    silently mix a Numba run against a pure-NumPy one.  The BLAS fields
+    (``kernel_backend`` / ``kernel_backend_env``) record whether the
+    compiled C tier produced the numbers, so baseline comparisons never
+    silently mix a native run against a pure-NumPy one.  The BLAS fields
     (``blas`` / ``blas_version`` / ``blas_threads``, see
     :func:`blas_fingerprint`) do the same for the float64 GEMMs the LUT
     kernels run on.  ``extra`` merges in run-specific knobs (e.g. the

@@ -216,7 +216,8 @@ class VictimSpec(_SpecNode):
     _hash_kind = "victims"
 
     def __post_init__(self) -> None:
-        # the library import is deferred to avoid a module-import cycle
+        # the library imports are deferred to avoid a module-import cycle
+        from repro.axnn.kernels import normalize_strategy
         from repro.errors import UnknownComponentError
         from repro.multipliers.library import resolve_name
 
@@ -245,6 +246,13 @@ class VictimSpec(_SpecNode):
             raise SpecValidationError(
                 f"kernel must be a non-empty str, got {self.kernel!r}", path="kernel"
             )
+        # aliases of one strategy compute the same thing, so they must hash
+        # (and share store entries) as its canonical name
+        try:
+            kernel = normalize_strategy(self.kernel)
+        except ConfigurationError as exc:
+            raise SpecValidationError(str(exc), path="kernel") from exc
+        object.__setattr__(self, "kernel", kernel)
 
     def to_dict(self) -> dict:
         return {

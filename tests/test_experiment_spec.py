@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.axnn.kernels import KERNEL_STRATEGIES
+from repro.errors import ConfigurationError, SpecValidationError
 from repro.experiments import (
     SPEC_SCHEMA_VERSION,
     AttackSpec,
@@ -147,6 +148,27 @@ class TestContentHash:
         b = ModelSpec(dataset="synthetic-mnist")
         assert a.content_hash() == b.content_hash()
 
+    def test_kernel_aliases_normalise_to_one_hash(self):
+        spellings = ("per-code", "percode", "Per_Code BLAS", "blas")
+        victims = [VictimSpec(kernel=kernel) for kernel in spellings]
+        assert {spec.kernel for spec in victims} == {"percode"}
+        assert len({spec.content_hash() for spec in victims}) == 1
+
+    def test_canonical_kernel_names_keep_their_hash(self):
+        # the stored payload of a canonical spelling is what it was before
+        # kernel names were normalised, so existing store entries stay valid
+        for kernel in KERNEL_STRATEGIES + ("auto",):
+            payload = {
+                "multipliers": ["M1"],
+                "bits": 8,
+                "convolution_only": False,
+                "kernel": kernel,
+                "calibration_samples": 128,
+            }
+            assert VictimSpec(kernel=kernel).content_hash() == content_hash(
+                payload, "victims"
+            )
+
 
 class TestValidation:
     def test_unknown_architecture(self):
@@ -173,6 +195,12 @@ class TestValidation:
         # a typo must surface at spec construction, not after training
         with pytest.raises(ConfigurationError, match="multiplier label"):
             VictimSpec(multipliers=("M1", "M44"))
+
+    def test_unknown_kernel_fails_fast(self):
+        # a typo must surface at spec construction, not inside Session.run
+        with pytest.raises(SpecValidationError, match="warp-drive") as info:
+            VictimSpec(kernel="warp-drive")
+        assert info.value.path == "kernel"
 
     def test_unknown_attack(self):
         with pytest.raises(ConfigurationError, match="unknown attack"):

@@ -3,12 +3,10 @@
 The native backend must be a drop-in for the pure-NumPy reference: the LUT
 matmul and the col2im scatter-add must be *bit-identical* across dtypes,
 shapes, strides and empty batches, ``kernel="auto"`` must degrade cleanly
-when neither Numba nor a C compiler is available, and backend resolution
-must be thread-safe and resettable.
+when the C extension cannot be built, and backend resolution must be
+thread-safe and resettable.
 """
 
-import os
-import sys
 import threading
 
 import numpy as np
@@ -19,6 +17,7 @@ from hypothesis import strategies as st
 from repro.axnn import native
 from repro.axnn.kernels import (
     NativeLUTKernel,
+    _native_lut_peak,
     clear_profile_cache,
     make_kernel,
     normalize_strategy,
@@ -39,7 +38,7 @@ from repro.quantization.schemes import AffineQuantization
 
 pytestmark = pytest.mark.skipif(
     get_backend() is None,
-    reason="no native backend available on this host (no Numba, no C compiler)",
+    reason="no native backend available on this host (no C compiler)",
 )
 
 RNG = np.random.default_rng(11)
@@ -140,6 +139,22 @@ class TestNativeLUTMatmul:
         bad[0, 0] = 300
         with pytest.raises(ConfigurationError):
             kernel.matmul(bad)
+
+    def test_wide_operands_are_never_native(self):
+        # a 9-bit multiplier does not pack to uint8 codes: "auto" must pass
+        # it over, and an explicit request must fail with the same message
+        # the shared eligibility rule gives
+        rng = np.random.default_rng(23)
+        wide = LUTMultiplier("native-9bit", rng.integers(-1000, 1000, (512, 512)))
+        assert select_strategy(wide) != "native"
+        with pytest.raises(ConfigurationError) as rule:
+            _native_lut_peak(wide)
+        assert "packs operands to 8 bits" in str(rule.value)
+        sign = rng.integers(-1, 2, (6, 4))
+        mag = rng.integers(0, 512, (6, 4))
+        with pytest.raises(ConfigurationError) as request:
+            make_kernel(wide, sign, mag, "native")
+        assert str(request.value) == str(rule.value)
 
     def test_strategy_aliases(self):
         assert normalize_strategy("native") == "native"
@@ -289,25 +304,17 @@ def _reference_col2im(cols, input_shape, kernel_h, kernel_w, stride, padding):
 class TestBackendResolution:
     def test_requested_backend_normalisation(self, clean_backend_state):
         monkeypatch = clean_backend_state
-        for raw, expected in (
-            ("auto", "auto"),
-            ("", "auto"),
-            ("NUMBA", "numba"),
-            ("jit", "numba"),
-            ("ctypes", "cext"),
-            ("c", "cext"),
-            ("off", "numpy"),
-            ("reference", "numpy"),
-        ):
+        for raw, expected in (("auto", "auto"), ("", "auto"), ("numpy", "numpy")):
             monkeypatch.setenv(BACKEND_ENV_VAR, raw)
             assert requested_backend() == expected
 
     def test_invalid_backend_fails_loudly(self, clean_backend_state):
         monkeypatch = clean_backend_state
-        monkeypatch.setenv(BACKEND_ENV_VAR, "warp-drive")
-        reset_backend()
-        with pytest.raises(ConfigurationError):
-            get_backend()
+        for raw in ("warp-drive", "numba", "cext", "off"):
+            monkeypatch.setenv(BACKEND_ENV_VAR, raw)
+            reset_backend()
+            with pytest.raises(ConfigurationError):
+                get_backend()
 
     def test_numpy_backend_disables_native(self, clean_backend_state):
         monkeypatch = clean_backend_state
@@ -324,27 +331,13 @@ class TestBackendResolution:
                 "native",
             )
 
-    def test_numba_absent_degrades_with_warning(self, clean_backend_state):
-        # simulate `import numba` failing even on hosts that have it
-        monkeypatch = clean_backend_state
-        monkeypatch.setitem(sys.modules, "numba", None)
-        monkeypatch.delitem(sys.modules, "repro.axnn.native.numba_backend", raising=False)
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numba")
-        reset_backend()
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            backend = get_backend()
-        assert backend is None
-
     def test_auto_degrades_to_numpy_when_everything_is_absent(
         self, clean_backend_state
     ):
-        # Numba import fails and the C extension refuses to build: "auto"
-        # must resolve to the reference path and kernels must still work
+        # the C extension refuses to build: "auto" must resolve to the
+        # reference path and kernels must still work
         monkeypatch = clean_backend_state
         from repro.axnn.native import cext
-
-        monkeypatch.setitem(sys.modules, "numba", None)
-        monkeypatch.delitem(sys.modules, "repro.axnn.native.numba_backend", raising=False)
 
         def refuse(path=None):
             raise cext.NativeBuildError("simulated: no compiler")
@@ -400,16 +393,17 @@ class TestBackendResolution:
 
     def test_native_fingerprint_keys(self):
         fingerprint = native_fingerprint()
-        assert fingerprint["kernel_backend"] in ("numba", "cext", "numpy")
-        assert "kernel_backend_env" in fingerprint
-        assert "numba" in fingerprint
+        assert fingerprint["kernel_backend"] in ("cext", "numpy")
+        assert set(fingerprint) == {"kernel_backend", "kernel_backend_env"}
 
     def test_env_fingerprint_includes_backend(self):
         from repro.benchmarking.report import env_fingerprint
 
         fingerprint = env_fingerprint()
+        assert fingerprint["kernel_backend"] in ("cext", "numpy")
         assert fingerprint["kernel_backend"] == backend_name()
-        assert "numba" in fingerprint
+        assert "kernel_backend_env" in fingerprint
+        assert "numba" not in fingerprint
 
 
 class TestNativeEndToEnd:
