@@ -19,7 +19,12 @@ from repro.axnn.approx_ops import (
     quantize_weights_sign_magnitude,
     zero_point_correction_vector,
 )
-from repro.axnn.engine import AxModel, build_axdnn, build_quantized_accurate
+from repro.axnn.engine import (
+    AxModel,
+    build_axdnn,
+    build_quantized_accurate,
+    calibrate_activations,
+)
 from repro.axnn.kernels import (
     KERNEL_STRATEGIES,
     ErrorCorrectionKernel,
@@ -84,6 +89,7 @@ __all__ = [
     "AxModel",
     "build_axdnn",
     "build_quantized_accurate",
+    "calibrate_activations",
     "available_workers",
     "batch_slices",
     "resolve_workers",

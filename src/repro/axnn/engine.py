@@ -4,7 +4,9 @@
 model into an :class:`AxModel`:
 
 1. a calibration batch is pushed through the float model, recording the
-   activation range at the input of every compute layer;
+   activation range at the input of every compute layer
+   (:func:`calibrate_activations`; a victim set computes this once and
+   shares it between victims);
 2. every ``Conv2D`` / ``Dense`` layer is replaced by its quantized,
    LUT-multiplied counterpart (:class:`repro.axnn.layers.AxConv2D` /
    :class:`AxDense`) bound to the requested approximate multiplier;
@@ -138,10 +140,25 @@ class AxModel:
         )
 
 
-def _calibrate_activations(
-    model: Sequential, calibration_data: np.ndarray, bits: int
+def _check_source(model: Sequential, calibration_data: np.ndarray) -> None:
+    if not model.layers:
+        raise ConfigurationError("cannot build an AxDNN from an empty model")
+    if calibration_data is None or np.asarray(calibration_data).size == 0:
+        raise ConfigurationError("calibration_data must contain at least one sample")
+
+
+def calibrate_activations(
+    model: Sequential, calibration_data: np.ndarray, bits: int = 8
 ) -> Dict[str, AffineQuantization]:
-    """Record the activation range at the input of every compute layer."""
+    """Activation schemes at the input of every compute layer of ``model``.
+
+    One float forward over ``calibration_data`` records each compute
+    layer's input range.  The schemes depend only on the model, the batch
+    and ``bits`` — not on any multiplier — so a victim set built from one
+    model and one batch computes them once and passes them to every
+    :func:`build_axdnn` call as ``activation_schemes``.
+    """
+    _check_source(model, calibration_data)
     observers: Dict[str, ActivationObserver] = {}
     x = np.asarray(calibration_data, dtype=np.float64)
     out = x
@@ -162,6 +179,7 @@ def build_axdnn(
     per_layer_multipliers: Optional[Dict[str, MultiplierSpec]] = None,
     name: Optional[str] = None,
     kernel: str = "auto",
+    activation_schemes: Optional[Dict[str, AffineQuantization]] = None,
 ) -> AxModel:
     """Convert a trained float model into a quantized approximate model.
 
@@ -191,11 +209,14 @@ def build_axdnn(
         ``"percode"``, ``"errorcorrection"`` or ``"exact"`` — see
         :mod:`repro.axnn.kernels`.  All strategies are bit-identical; they
         differ only in throughput and memory.
+    activation_schemes:
+        Activation schemes already computed by :func:`calibrate_activations`
+        for this ``model``, ``calibration_data`` and ``bits``.  Builders of
+        a victim set pass one shared set to skip the per-victim float
+        calibration forward; the AxDNN is bit-identical either way.
+        ``None`` (the default) calibrates here.
     """
-    if not model.layers:
-        raise ConfigurationError("cannot build an AxDNN from an empty model")
-    if calibration_data is None or np.asarray(calibration_data).size == 0:
-        raise ConfigurationError("calibration_data must contain at least one sample")
+    _check_source(model, calibration_data)
     kernel = normalize_strategy(kernel)
 
     default_multiplier = (
@@ -209,7 +230,11 @@ def build_axdnn(
                 spec if isinstance(spec, Multiplier) else get_multiplier(spec)
             )
 
-    schemes = _calibrate_activations(model, calibration_data, bits)
+    schemes = (
+        activation_schemes
+        if activation_schemes is not None
+        else calibrate_activations(model, calibration_data, bits)
+    )
     ax_layers: List[AxLayer] = []
     for layer in model.layers:
         if isinstance(layer, Conv2D):

@@ -11,9 +11,11 @@ circuits that the paper's approximate multipliers are built from:
 * unsigned array multipliers whose internal adders can be swapped for
   approximate cells column-by-column.
 
-All circuits operate on NumPy integer arrays and are fully vectorised, so a
-complete 256x256 look-up table for an 8-bit multiplier can be evaluated in a
-single call.
+All circuits operate on NumPy 0/1 integer arrays and are fully vectorised:
+every gate is a bitwise ``&``/``|``/``^`` expression that keeps its inputs'
+dtype, and the multipliers run on ``uint8`` lanes, so a complete 256x256
+look-up table for an 8-bit multiplier is a single call over all 65,536
+operand pairs (tens of milliseconds).
 """
 
 from repro.circuits.bitops import (

@@ -95,8 +95,7 @@ class ApproximateMirrorAdder2(AdderCell):
     name = "ama2"
 
     def add(self, a, b, cin):
-        a = np.asarray(a, dtype=np.int64)
-        return bit_not(a), a.copy()
+        return bit_not(a), np.array(a)
 
 
 class ApproximateMirrorAdder3(AdderCell):
@@ -109,9 +108,7 @@ class ApproximateMirrorAdder3(AdderCell):
     name = "ama3"
 
     def add(self, a, b, cin):
-        a = np.asarray(a, dtype=np.int64)
-        cin = np.asarray(cin, dtype=np.int64)
-        return cin.copy(), a.copy()
+        return np.array(cin), np.array(a)
 
 
 class ApproximateMirrorAdder4(AdderCell):
@@ -123,9 +120,7 @@ class ApproximateMirrorAdder4(AdderCell):
     name = "ama4"
 
     def add(self, a, b, cin):
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        return b.copy(), a.copy()
+        return np.array(b), np.array(a)
 
 
 class ApproximateMirrorAdder5(AdderCell):
@@ -154,7 +149,7 @@ class LowerOrCell(AdderCell):
 
     def add(self, a, b, cin):
         s = bit_or(a, b)
-        cout = np.zeros_like(np.asarray(a, dtype=np.int64))
+        cout = np.zeros_like(s)
         return s, cout
 
 

@@ -14,8 +14,10 @@ Two circuit families are provided:
     compressors (exact or approximate) until at most two bits per column
     remain, then a final exact ripple-carry adder produces the product.
 
-Both circuits are fully vectorised over NumPy arrays so a complete 256x256
-look-up table is a single call.
+Both circuits are fully vectorised: operands are split into ``uint8`` 0/1
+bit lanes, the gates run bitwise over every operand pair at once, and
+:func:`repro.circuits.bitops.from_bits` recomposes the ``int64`` products,
+so a complete 256x256 look-up table is a single call.
 """
 
 from __future__ import annotations
@@ -83,12 +85,11 @@ class ArrayMultiplierCircuit:
         b = np.asarray(b)
         a_bits = to_bits(a, self.width)
         b_bits = to_bits(b, self.width)
-        accumulator = np.zeros(a_bits.shape[:-1] + (self.result_width,), dtype=np.int64)
+        accumulator = np.zeros(a_bits.shape[:-1] + (self.result_width,), dtype=np.uint8)
         for row in range(self.width):
-            # partial-product row `row`: (a & -b_row) shifted left by `row`
+            # partial-product row `row`: (a & b_row) shifted left by `row`
             row_bits = np.zeros_like(accumulator)
-            pp = a_bits * b_bits[..., row : row + 1]
-            row_bits[..., row : row + self.width] = pp
+            row_bits[..., row : row + self.width] = a_bits & b_bits[..., row : row + 1]
             accumulator, _ = self._row_adder.add_bits(accumulator, row_bits)
         return from_bits(accumulator)
 
@@ -147,13 +148,13 @@ class CompressorTreeMultiplierCircuit:
         a_bits = to_bits(a, self.width)
         b_bits = to_bits(b, self.width)
         batch_shape = a_bits.shape[:-1]
-        zero = np.zeros(batch_shape, dtype=np.int64)
+        zero = np.zeros(batch_shape, dtype=np.uint8)
 
         # Build the partial-product columns: column j holds bits a_i & b_k with i+k=j.
         columns: List[List[np.ndarray]] = [[] for _ in range(self.result_width)]
         for i in range(self.width):
             for k in range(self.width):
-                columns[i + k].append(a_bits[..., i] * b_bits[..., k])
+                columns[i + k].append(a_bits[..., i] & b_bits[..., k])
 
         # Reduce columns with 4:2 compressors (and 3:2 full adders for the
         # leftover triples) until every column has <= 2 bits.
@@ -183,7 +184,7 @@ class CompressorTreeMultiplierCircuit:
             columns = new_columns
 
         # Final carry-propagate addition of the two remaining rows.
-        row_a = np.zeros(batch_shape + (self.result_width,), dtype=np.int64)
+        row_a = np.zeros(batch_shape + (self.result_width,), dtype=np.uint8)
         row_b = np.zeros_like(row_a)
         for j, column in enumerate(columns):
             if len(column) >= 1:

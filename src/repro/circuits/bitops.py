@@ -1,8 +1,11 @@
 """Vectorised bit-manipulation helpers used by the circuit models.
 
 All functions operate on NumPy integer arrays of arbitrary shape.  Bits are
-represented as ``int64`` arrays containing only 0s and 1s; bit vectors are
-stored least-significant-bit first along the last axis.
+0/1 integer arrays, and every gate is written with ``&``, ``|`` and ``^``
+only, so a gate's output keeps its inputs' dtype: the multiplier circuits
+run on ``uint8`` lanes (one byte per operand pair), and 0/1 arrays of any
+other integer dtype behave identically.  Bit vectors are stored
+least-significant-bit first along the last axis.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ def to_bits(values: np.ndarray, width: int) -> np.ndarray:
     Returns
     -------
     numpy.ndarray
-        Array of shape ``values.shape + (width,)`` with entries in {0, 1}.
+        ``uint8`` array of shape ``values.shape + (width,)`` with entries in
+        {0, 1}.
     """
     values = np.asarray(values)
     if width <= 0:
@@ -35,40 +39,38 @@ def to_bits(values: np.ndarray, width: int) -> np.ndarray:
     if np.any(values >= (1 << width)):
         raise ShapeError(f"values do not fit in {width} bits")
     shifts = np.arange(width, dtype=np.int64)
-    return ((values[..., None].astype(np.int64) >> shifts) & 1).astype(np.int64)
+    return ((values[..., None].astype(np.int64) >> shifts) & 1).astype(np.uint8)
 
 
 def from_bits(bits: np.ndarray) -> np.ndarray:
-    """Recompose a bit array (LSB first along the last axis) into integers."""
-    bits = np.asarray(bits, dtype=np.int64)
-    width = bits.shape[-1]
-    weights = (np.int64(1) << np.arange(width, dtype=np.int64))
+    """Recompose a bit array (LSB first along the last axis) into ``int64``."""
+    bits = np.asarray(bits)
+    weights = np.int64(1) << np.arange(bits.shape[-1], dtype=np.int64)
     return np.sum(bits * weights, axis=-1)
 
 
 def bit_and(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Logical AND of two bit arrays."""
-    return np.asarray(a, dtype=np.int64) & np.asarray(b, dtype=np.int64)
+    return np.asarray(a) & np.asarray(b)
 
 
 def bit_or(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Logical OR of two bit arrays."""
-    return np.asarray(a, dtype=np.int64) | np.asarray(b, dtype=np.int64)
+    return np.asarray(a) | np.asarray(b)
 
 
 def bit_xor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Logical XOR of two bit arrays."""
-    return np.asarray(a, dtype=np.int64) ^ np.asarray(b, dtype=np.int64)
+    return np.asarray(a) ^ np.asarray(b)
 
 
 def bit_not(a: np.ndarray) -> np.ndarray:
-    """Logical NOT of a bit array (1 - a)."""
-    return 1 - np.asarray(a, dtype=np.int64)
+    """Logical NOT of a bit array (``a ^ 1``)."""
+    return np.asarray(a) ^ 1
 
 
 def majority(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Majority vote of three bit arrays."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    c = np.asarray(c, dtype=np.int64)
-    return ((a + b + c) >= 2).astype(np.int64)
+    """Majority vote of three bit arrays: ``(a & b) | (c & (a | b))``."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    return (a & b) | (np.asarray(c) & (a | b))

@@ -17,7 +17,12 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.circuits.bitops import bit_and, bit_or, bit_xor
+from repro.circuits.bitops import bit_and, bit_not, bit_or, bit_xor
+
+
+def _mux(select: np.ndarray, when_one: np.ndarray, when_zero: np.ndarray) -> np.ndarray:
+    """Two-input multiplexer on bit arrays: ``(s & x) | ((s ^ 1) & y)``."""
+    return bit_or(bit_and(select, when_one), bit_and(bit_not(select), when_zero))
 
 
 class Compressor42(ABC):
@@ -63,18 +68,13 @@ class ExactCompressor42(Compressor42):
     name = "exact42"
 
     def compress(self, x1, x2, x3, x4, cin):
-        x1 = np.asarray(x1, dtype=np.int64)
-        x2 = np.asarray(x2, dtype=np.int64)
-        x3 = np.asarray(x3, dtype=np.int64)
-        x4 = np.asarray(x4, dtype=np.int64)
-        cin = np.asarray(cin, dtype=np.int64)
-        t = bit_xor(bit_xor(x1, x2), bit_xor(x3, x4))
+        sel = bit_xor(x1, x2)
+        t = bit_xor(sel, bit_xor(x3, x4))
         s = bit_xor(t, cin)
         # cout = x3 when x1 ^ x2 else x1  (standard mux form)
-        sel = bit_xor(x1, x2)
-        cout = np.where(sel == 1, x3, x1)
+        cout = _mux(sel, x3, x1)
         # carry = cin when t else x4
-        carry = np.where(t == 1, cin, x4)
+        carry = _mux(t, cin, x4)
         return s, carry, cout
 
 
@@ -93,7 +93,7 @@ class ApproximateCompressor42A(Compressor42):
     def compress(self, x1, x2, x3, x4, cin):
         s = bit_xor(bit_xor(x1, x2), bit_xor(x3, x4))
         carry = bit_or(bit_and(x1, x2), bit_and(x3, x4))
-        cout = np.zeros_like(np.asarray(x1, dtype=np.int64))
+        cout = np.zeros_like(s)
         return s, carry, cout
 
 
@@ -110,7 +110,7 @@ class ApproximateCompressor42B(Compressor42):
     def compress(self, x1, x2, x3, x4, cin):
         s = bit_xor(bit_or(x1, x2), bit_or(x3, x4))
         carry = bit_or(bit_and(x1, x2), bit_and(x3, x4))
-        cout = np.zeros_like(np.asarray(x1, dtype=np.int64))
+        cout = np.zeros_like(s)
         return s, carry, cout
 
 

@@ -71,17 +71,17 @@ class RippleCarryAdder:
         self, a_bits: np.ndarray, b_bits: np.ndarray, cin: Optional[np.ndarray] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Add two bit arrays of shape ``(..., width)``; return ``(sum_bits, cout)``."""
-        a_bits = np.asarray(a_bits, dtype=np.int64)
-        b_bits = np.asarray(b_bits, dtype=np.int64)
+        a_bits = np.asarray(a_bits)
+        b_bits = np.asarray(b_bits)
         if a_bits.shape != b_bits.shape or a_bits.shape[-1] != self.width:
             raise ConfigurationError(
                 "operand bit arrays must both have last dimension "
                 f"{self.width}; got {a_bits.shape} and {b_bits.shape}"
             )
         carry = (
-            np.zeros(a_bits.shape[:-1], dtype=np.int64)
+            np.zeros(a_bits.shape[:-1], dtype=a_bits.dtype)
             if cin is None
-            else np.asarray(cin, dtype=np.int64)
+            else np.asarray(cin)
         )
         sum_bits = np.zeros_like(a_bits)
         for position, cell in enumerate(self.cells):

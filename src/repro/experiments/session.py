@@ -57,7 +57,7 @@ from repro.robustness.quantization_analysis import (
     QuantizationStudy,
 )
 from repro.robustness.report import ExperimentRecord
-from repro.robustness.sweep import RobustnessGrid, grid_from_suite
+from repro.robustness.sweep import RobustnessGrid, build_victims, grid_from_suite
 from repro.robustness.transferability import (
     TransferabilityCell,
     TransferabilityTable,
@@ -780,21 +780,20 @@ class Session:
     def build_victims(
         self, trained: TrainedModel, victims: VictimSpec
     ) -> Dict[str, AxModel]:
-        """Build the AxDNN victim set of a spec from a trained source model."""
-        calibration = trained.dataset.train.images[: victims.calibration_samples]
-        built: Dict[str, AxModel] = {}
-        for label in victims.multipliers:
-            self._emit("victims", "compute", label)
-            built[label] = build_axdnn(
-                trained.model,
-                label,
-                calibration,
-                bits=victims.bits,
-                convolution_only=victims.convolution_only,
-                name=f"ax_{trained.model.name}_{label}",
-                kernel=victims.kernel,
-            )
-        return built
+        """Build the AxDNN victim set of a spec from a trained source model.
+
+        Delegates to :func:`repro.robustness.sweep.build_victims` (one
+        shared calibration) and emits a ``victims`` progress event per label.
+        """
+        return build_victims(
+            trained.model,
+            victims.multipliers,
+            trained.dataset.train.images[: victims.calibration_samples],
+            bits=victims.bits,
+            convolution_only=victims.convolution_only,
+            kernel=victims.kernel,
+            on_build=lambda label: self._emit("victims", "compute", label),
+        )
 
     # ------------------------------------------------------------------- run
     def run(

@@ -23,9 +23,9 @@ import numpy as np
 from repro.errors import ConfigurationError
 
 #: process-wide LUT store keyed by multiplier identity (class, name,
-#: bit width and scalar configuration).  Circuit-backed tables cost seconds
-#: to build; they are built once per process and shared read-only between
-#: every instance of the same multiplier, surviving per-instance
+#: bit width and scalar configuration).  Tables are built once per process
+#: (a circuit-backed one in tens of milliseconds) and shared read-only
+#: between every instance of the same multiplier, surviving per-instance
 #: ``clear_cache`` calls.
 _GLOBAL_LUT_CACHE: Dict[Tuple, np.ndarray] = {}
 

@@ -112,15 +112,19 @@ def select_resilient_multipliers(
         )
     # imported lazily: repro.axnn depends on repro.multipliers, so a module-
     # level import here would create an import cycle
-    from repro.axnn.engine import build_axdnn
+    from repro.axnn.engine import build_axdnn, calibrate_activations
     from repro.nn.runtime import call_with_workers
 
     keep = {resolve_name(name) for name in (always_keep or [])}
+    # one float calibration forward serves every candidate
+    schemes = calibrate_activations(model, calibration_data, bits)
     results: List[MultiplierScreeningResult] = []
     for candidate in candidates:
         resolved = resolve_name(candidate)
         multiplier = get_multiplier(resolved)
-        axdnn = build_axdnn(model, multiplier, calibration_data, bits=bits)
+        axdnn = build_axdnn(
+            model, multiplier, calibration_data, bits=bits, activation_schemes=schemes
+        )
         accuracy = call_with_workers(
             axdnn.accuracy_percent, images, labels, workers=workers
         )

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.attacks.base import Attack
-from repro.axnn.engine import build_axdnn
+from repro.axnn.engine import build_axdnn, calibrate_activations
 from repro.errors import ConfigurationError
 from repro.multipliers.library import ACCURATE_MULTIPLIER
 from repro.nn.layers.conv import Conv2D
@@ -105,6 +105,8 @@ def layer_sensitivity_analysis(
         for layer in model.layers
         if isinstance(layer, (Conv2D, Dense))
     }
+    # one float calibration forward serves every single-layer victim
+    schemes = calibrate_activations(model, calibration_data, bits)
     results: List[LayerSensitivity] = []
     for layer_name in selected:
         victim = build_axdnn(
@@ -114,6 +116,7 @@ def layer_sensitivity_analysis(
             bits=bits,
             per_layer_multipliers={layer_name: multiplier},
             name=f"ax_{model.name}_only_{layer_name}",
+            activation_schemes=schemes,
         )
         clean = victim.accuracy_percent(images, labels, workers=workers)
         attacked = (

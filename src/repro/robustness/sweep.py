@@ -9,12 +9,12 @@ produces exactly that grid for one attack.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.attacks.base import Attack
-from repro.axnn.engine import AxModel, build_axdnn
+from repro.axnn.engine import AxModel, build_axdnn, calibrate_activations
 from repro.errors import ConfigurationError
 from repro.nn.model import Sequential
 from repro.nn.runtime import WorkerSpec
@@ -89,10 +89,20 @@ def build_victims(
     bits: int = 8,
     convolution_only: bool = False,
     kernel: str = "auto",
+    on_build: Optional[Callable[[str], None]] = None,
 ) -> Dict[str, AxModel]:
-    """Build one AxDNN per multiplier label (M1..M9 / A1..A8 / library names)."""
+    """Build one AxDNN per multiplier label (M1..M9 / A1..A8 / library names).
+
+    The float calibration forward runs once for the whole set: every victim
+    shares one set of activation schemes, so each is bit-identical to a
+    :func:`build_axdnn` call of its own.  ``on_build(label)`` is called just
+    before each victim is built (progress reporting).
+    """
+    schemes = calibrate_activations(model, calibration_data, bits)
     victims: Dict[str, AxModel] = {}
     for label in multiplier_labels:
+        if on_build is not None:
+            on_build(label)
         victims[label] = build_axdnn(
             model,
             label,
@@ -101,6 +111,7 @@ def build_victims(
             convolution_only=convolution_only,
             name=f"ax_{model.name}_{label}",
             kernel=kernel,
+            activation_schemes=schemes,
         )
     return victims
 
